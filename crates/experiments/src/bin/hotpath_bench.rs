@@ -147,7 +147,7 @@ fn bench_tag_maps() {
         let mut tags: Vec<u64> = Vec::new();
         let mut acc = 0u64;
         for _ in 0..ITERS {
-            if tags.len() < 24 || rng.next() % 2 == 0 {
+            if tags.len() < 24 || rng.next().is_multiple_of(2) {
                 m.insert(next_tag, next_tag ^ 0xabcd);
                 tags.push(next_tag);
                 next_tag += 1;
@@ -169,7 +169,7 @@ fn bench_tag_maps() {
         let mut tags: Vec<u64> = Vec::new();
         let mut acc = 0u64;
         for _ in 0..ITERS {
-            if tags.len() < 24 || rng.next() % 2 == 0 {
+            if tags.len() < 24 || rng.next().is_multiple_of(2) {
                 let t = m.insert(next_tag ^ 0xabcd);
                 tags.push(t);
                 next_tag += 1;
@@ -193,7 +193,7 @@ fn bench_line_maps() {
         let mut rng = Lcg(0x10c);
         (0..ITERS)
             .map(|_| {
-                let line = if rng.next() % 4 == 0 {
+                let line = if rng.next().is_multiple_of(4) {
                     rng.next() % 4096
                 } else {
                     rng.next() % 32

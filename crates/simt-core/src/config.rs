@@ -97,18 +97,15 @@ pub struct GpuConfig {
     /// oracle; off by default so measurement runs pay nothing for it.
     pub capture_final_state: bool,
     /// Collect wall-clock phase timings (fetch/issue/execute/mem-cycle/
-    /// merge/skip-horizon) into [`crate::KernelReport::profile`]. Purely
+    /// skip-horizon) into [`crate::KernelReport::profile`]. Purely
     /// observational: never touches simulated state, excluded from the
     /// snapshot fingerprint, and when off the run loop takes no timestamps.
     pub profile: bool,
     /// Main-loop time-advance strategy (see [`Engine`]).
     pub engine: Engine,
-    /// Worker threads cycling SMs inside a single simulation. `0` (the
-    /// default everywhere) resolves from the `BOWS_SM_THREADS` environment
-    /// variable, falling back to `1` (serial). Any value is clamped to
-    /// `[1, num_sms]` at run time. Results are bit-identical at every
-    /// thread count (see `tests/determinism.rs`); the knob trades host
-    /// cores for wall time only.
+    /// Inert: nothing reads it, and the snapshot fingerprint zeroes it. It
+    /// stays only because the frozen `perfbench/` package assigns it, and
+    /// goes with the next benchmark change.
     pub sm_threads: usize,
 }
 
@@ -197,21 +194,6 @@ impl GpuConfig {
         self.max_threads_per_sm / self.warp_size
     }
 
-    /// Resolve [`GpuConfig::sm_threads`]: an explicit nonzero value wins;
-    /// `0` falls back to the `BOWS_SM_THREADS` environment variable, then
-    /// to `1` (serial). The result is always at least 1; `Gpu::run`
-    /// additionally clamps it to `num_sms`.
-    pub fn effective_sm_threads(&self) -> usize {
-        if self.sm_threads > 0 {
-            return self.sm_threads;
-        }
-        std::env::var("BOWS_SM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    }
-
     /// Structural sanity checks that `Gpu::run` performs before building
     /// any hardware state. A zero in any of these fields would otherwise
     /// panic deep inside the run loop (`sms[0]`, `units()[0]`, or a
@@ -295,16 +277,5 @@ mod tests {
             let err = cfg.validate().expect_err(field);
             assert!(err.contains(field), "`{err}` should name `{field}`");
         }
-    }
-
-    /// Explicit values win over the environment and floor at serial.
-    #[test]
-    fn sm_threads_resolution() {
-        let mut cfg = GpuConfig::test_tiny();
-        cfg.sm_threads = 3;
-        assert_eq!(cfg.effective_sm_threads(), 3);
-        // With sm_threads = 0 the result is env-dependent but never 0.
-        cfg.sm_threads = 0;
-        assert!(cfg.effective_sm_threads() >= 1);
     }
 }

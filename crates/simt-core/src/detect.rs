@@ -10,10 +10,7 @@ use std::collections::HashMap;
 /// stage with the *profiled thread's* (first active lane's) source values —
 /// exactly the information the paper's DDOS hardware taps — and
 /// [`SpinDetector::on_branch`] when a warp executes a backward branch.
-///
-/// `Send` because an [`crate::Sm`] (which owns its detector) may be cycled
-/// on a worker thread under `sm_threads > 1`.
-pub trait SpinDetector: Send {
+pub trait SpinDetector {
     /// A warp executed a `setp`; `srcs` are the profiled lane's two source
     /// operand values.
     fn on_setp(&mut self, now: u64, warp: usize, pc: usize, srcs: [u32; 2]);

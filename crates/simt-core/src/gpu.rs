@@ -10,8 +10,6 @@ use simt_isa::Kernel;
 use simt_mem::{MemStats, MemorySystem};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Cycles between forward-progress scans. A power of two well below any
 /// sensible `watchdog_cycles`, so scan cost stays negligible while hang
@@ -41,13 +39,11 @@ pub struct LaunchSpec {
 /// `simt-snap` envelope, writing them atomically, and naming files is the
 /// caller's concern (see `bows-run --checkpoint-every` / `--resume`).
 /// Snapshot boundaries are the tops of run-loop iterations at cycles that
-/// are multiples of `every`, where the machine is between cycles: no staged
-/// memory work, no in-flight worker rounds.
+/// are multiples of `every`, where the machine is between cycles.
 ///
-/// Snapshots are `sm_threads`-invariant — a snapshot taken at one worker
-/// count restores bit-exactly at any other — and engine-specific only
-/// through the config fingerprint (resuming under a different
-/// [`Engine`](crate::Engine) is rejected, not silently wrong).
+/// Snapshots are engine-specific only through the config fingerprint
+/// (resuming under a different [`Engine`](crate::Engine) is rejected, not
+/// silently wrong).
 pub struct CheckpointCtl<'a> {
     /// Snapshot cadence in cycles; `0` disables periodic snapshots
     /// (resume-only use).
@@ -177,13 +173,9 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Wall-clock breakdown of where *host* time went during a run, collected
-/// only when [`GpuConfig::profile`] is set. All figures are nanoseconds.
-///
-/// SM-side phases (`fetch`/`issue`/`execute`) accrue on whichever worker
-/// thread cycles the SM, then sum over SMs — with `sm_threads > 1` they
-/// measure CPU time and can exceed the coordinator's wall clock.
-/// Coordinator phases (`mem_cycle`/`merge`/`skip_horizon`) and `total` are
-/// straight wall time on the run-loop thread.
+/// only when [`GpuConfig::profile`] is set. All figures are nanoseconds of
+/// wall time on the run-loop thread; SM-side phases
+/// (`fetch`/`issue`/`execute`) sum over SMs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Writeback wheel drain, CTA retirement, fence clearing, and per-warp
@@ -193,11 +185,12 @@ pub struct ProfileReport {
     /// excluding the nested execute time.
     pub issue_ns: u64,
     /// Instruction execution proper (decoded-dispatch, operand reads,
-    /// register writes, memory-op staging).
+    /// register writes, global-memory accesses and request enqueues).
     pub execute_ns: u64,
     /// Memory-system cycling plus completion delivery to SMs.
     pub mem_cycle_ns: u64,
-    /// Deterministic replay of staged global-memory work in SM-id order.
+    /// Always 0: there is no merge phase. Kept only because the frozen
+    /// `perfbench/` package reads it; goes with the next benchmark change.
     pub merge_ns: u64,
     /// Skip-engine horizon computation and bulk dead-span accrual.
     pub skip_horizon_ns: u64,
@@ -206,22 +199,19 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// `(label, nanoseconds)` rows in display order — the six phases.
-    pub fn phases(&self) -> [(&'static str, u64); 6] {
+    /// `(label, nanoseconds)` rows in display order — the five phases.
+    pub fn phases(&self) -> [(&'static str, u64); 5] {
         [
             ("fetch", self.fetch_ns),
             ("issue", self.issue_ns),
             ("execute", self.execute_ns),
             ("mem-cycle", self.mem_cycle_ns),
-            ("merge", self.merge_ns),
             ("skip-horizon", self.skip_horizon_ns),
         ]
     }
 
     /// Run-loop wall time not attributed to any phase (watchdog scans,
-    /// checkpoint serialization, dispatch refills, loop overhead). With
-    /// `sm_threads > 1` the SM phases overlap the coordinator, so this
-    /// saturates at zero rather than going negative.
+    /// checkpoint serialization, dispatch refills, loop overhead).
     pub fn other_ns(&self) -> u64 {
         let attributed: u64 = self.phases().iter().map(|&(_, ns)| ns).sum();
         self.total_ns.saturating_sub(attributed)
@@ -233,7 +223,6 @@ impl ProfileReport {
         self.issue_ns += o.issue_ns;
         self.execute_ns += o.execute_ns;
         self.mem_cycle_ns += o.mem_cycle_ns;
-        self.merge_ns += o.merge_ns;
         self.skip_horizon_ns += o.skip_horizon_ns;
         self.total_ns += o.total_ns;
     }
@@ -351,14 +340,9 @@ impl Gpu {
         )
     }
 
-    /// Run a kernel to completion.
-    ///
-    /// SMs are cycled by [`GpuConfig::effective_sm_threads`] worker
-    /// threads (1 = serial, the default). Every thread count produces
-    /// bit-identical results: SMs never touch shared state while cycling —
-    /// each stages its global-memory work on itself — and the staged work
-    /// is replayed into the memory system in fixed SM-id order afterwards,
-    /// reproducing serial execution's access order exactly.
+    /// Run a kernel to completion on the calling thread. Each cycle the
+    /// memory system delivers completions, then the SMs cycle in id order,
+    /// each accessing global memory and enqueuing requests as it issues.
     ///
     /// # Errors
     ///
@@ -440,27 +424,19 @@ impl Gpu {
         }
 
         let num_sms = self.cfg.num_sms;
-        let threads = self.cfg.effective_sm_threads().clamp(1, num_sms);
+        let mut sms: Vec<Sm> = (0..num_sms)
+            .map(|id| {
+                let units = (0..self.cfg.schedulers_per_sm)
+                    .map(|_| policy_factory())
+                    .collect();
+                Sm::new(id, &self.cfg, units, detector_factory(kernel))
+            })
+            .collect();
+        let scheduler_name = sms[0].units()[0].name();
+        let detector_name = sms[0].detector.name().to_string();
 
-        // SMs live in per-worker chunks for the whole run; chunk `w` owns
-        // SMs `w, w+threads, w+2*threads, ...` (ascending). The striding is
-        // deliberate: CTAs dispatch round-robin from SM 0, so at low
-        // occupancy contiguous chunking would cluster every busy SM onto
-        // the first workers. `sm_at`/`sm_at_mut` recover id-order access.
-        let mut chunks: Vec<Chunk> = (0..threads).map(|_| Chunk::default()).collect();
-        for id in 0..num_sms {
-            let units = (0..self.cfg.schedulers_per_sm)
-                .map(|_| policy_factory())
-                .collect();
-            chunks[id % threads]
-                .sms
-                .push(Sm::new(id, &self.cfg, units, detector_factory(kernel)));
-        }
-        let scheduler_name = chunks[0].sms[0].units()[0].name();
-        let detector_name = chunks[0].sms[0].detector.name().to_string();
-
-        // Snapshot identity: (config minus thread count) + kernel + launch.
-        // Computed only when checkpointing is in play.
+        // Snapshot identity: config + kernel + launch. Computed only when
+        // checkpointing is in play.
         let fingerprint = if ctl.is_some() {
             snapshot_fingerprint(&self.cfg, kernel, launch)
         } else {
@@ -476,8 +452,7 @@ impl Gpu {
                 body,
                 fingerprint,
                 (scheduler_name.as_str(), detector_name.as_str()),
-                &mut chunks,
-                threads,
+                &mut sms,
                 &mut self.mem,
                 kernel,
                 launch,
@@ -489,7 +464,7 @@ impl Gpu {
             // Initial CTA dispatch: round-robin over SMs while anything fits.
             let mut pending: VecDeque<usize> = (0..launch.grid_ctas).collect();
             let mut age_counter = 0u64;
-            dispatch_pending(&mut chunks, threads, &mut pending, &lctx, &mut age_counter);
+            dispatch_pending(&mut sms, &mut pending, &lctx, &mut age_counter);
             if pending.len() == launch.grid_ctas {
                 return Err(SimError::LaunchTooLarge {
                     reason: "no CTA could be dispatched".to_string(),
@@ -500,10 +475,7 @@ impl Gpu {
                 now: 0,
                 pending,
                 age_counter,
-                // Run-level statistics. Per-SM counters accrue into each
-                // chunk's own `SimStats` (workers cannot share one) and are
-                // merged at the end — every field is a sum, so the merge is
-                // order-independent.
+                // Run-level statistics; every SM accrues straight into them.
                 stats: SimStats::default(),
                 idle_since: 0,
                 remaining: launch.grid_ctas,
@@ -517,7 +489,7 @@ impl Gpu {
         };
         let start_cycle = rs.now;
         let RunState {
-            now: _,
+            mut now,
             mut pending,
             mut age_counter,
             mut stats,
@@ -531,315 +503,222 @@ impl Gpu {
         // common zero-or-few-completions case.
         let mut completions = Vec::new();
         let skip = self.cfg.engine == Engine::Skip;
-        // Coordinator-side phase timers. `profile` is false by default and
-        // the `.then(Instant::now)` pattern makes the off path a single
-        // untaken branch per phase — no timestamps, no accumulation.
+        // Run-loop phase timers. `profile` is false by default and the
+        // `.then(Instant::now)` pattern makes the off path a single untaken
+        // branch per phase — no timestamps, no accumulation.
         let profile = self.cfg.profile;
         let run_start = profile.then(std::time::Instant::now);
         let mut prof_mem_ns = 0u64;
-        let mut prof_merge_ns = 0u64;
         let mut prof_skip_ns = 0u64;
 
-        // Worker handoff slots (none when serial). Workers spin between
-        // rounds — a blocking handoff would cost a park/unpark round trip
-        // per simulated cycle, dwarfing the cycle itself.
-        let slots: Vec<Slot> = (1..threads).map(|_| Slot::default()).collect();
-        let final_cycle: Result<u64, SimError> = std::thread::scope(|scope| {
-            // Unblocks (and thereby joins) every worker on any exit path,
-            // including panics — workers otherwise spin forever and the
-            // scope never closes.
-            let _guard = ShutdownGuard(&slots);
-            for slot in &slots {
-                let lctx = &lctx;
-                scope.spawn(move || worker(slot, lctx));
-            }
-            let mut round = 0u64;
-            let mut now = start_cycle;
-            while remaining > 0 {
-                // Checkpoint boundary: the machine is between cycles (no
-                // staged work, no outstanding rounds), so the snapshot is
-                // simply "about to simulate cycle `now`". Per-chunk stats
-                // are folded into the run accumulator first — the fold is a
-                // sum the end-of-run merge would have performed anyway, so
-                // totals are unchanged — making the body independent of the
-                // worker count.
-                if let Some(c) = ctl.as_mut() {
-                    if c.every > 0 && now > start_cycle && now.is_multiple_of(c.every) {
-                        for ch in &mut chunks {
-                            stats.add(&ch.stats);
-                            ch.stats = SimStats::default();
-                        }
-                        let state = RunState {
-                            now,
-                            pending: pending.clone(),
-                            age_counter,
-                            stats: stats.clone(),
-                            idle_since,
-                            remaining,
-                            livelock_since,
-                            locks_at_scan,
-                            mem_before,
-                        };
-                        let body = snapshot_body(
-                            fingerprint,
-                            (scheduler_name.as_str(), detector_name.as_str()),
-                            &state,
-                            &chunks,
-                            threads,
-                            &self.mem,
-                        );
-                        (c.sink)(now, &body);
-                    }
-                }
-                // Memory completions first so unblocked warps can issue
-                // today. Chunks are always resident on this thread between
-                // rounds, so completions, dispatch, scans, and replay all
-                // see every SM.
-                let t = profile.then(std::time::Instant::now);
-                completions.clear();
-                self.mem.cycle_into(now, &mut completions);
-                for c in completions.drain(..) {
-                    let sm = c.sm;
-                    sm_at_mut(&mut chunks, threads, sm).on_mem_complete(c)?;
-                }
-                if let Some(t) = t {
-                    prof_mem_ns += t.elapsed().as_nanos() as u64;
-                }
-                round += 1;
-                run_round(
-                    &slots,
-                    &mut chunks,
-                    Job::Cycle {
+        while remaining > 0 {
+            // Checkpoint boundary: the machine is between cycles, so the
+            // snapshot is simply "about to simulate cycle `now`".
+            if let Some(c) = ctl.as_mut() {
+                if c.every > 0 && now > start_cycle && now.is_multiple_of(c.every) {
+                    let state = RunState {
                         now,
-                        want_ready: skip,
-                    },
-                    &lctx,
-                    round,
-                );
-                let mut issued_any = false;
-                let mut finished = 0u32;
-                let mut cycle_err: Option<(usize, SimError)> = None;
-                for ch in &mut chunks {
-                    issued_any |= ch.issued > 0;
-                    finished += ch.finished;
-                    if let Some((id, _)) = &ch.err {
-                        let id = *id;
-                        if cycle_err.as_ref().is_none_or(|(best, _)| id < *best) {
-                            cycle_err = ch.err.take();
-                        }
-                        ch.err = None;
-                    }
-                }
-                // Deterministic merge: replay every SM's staged global-
-                // memory work in fixed SM-id order. On a cycle error the
-                // replay stops at the erroring SM (serial execution would
-                // never have cycled the ones after it), and a replay fault
-                // from an earlier SM takes precedence — serial execution
-                // would have hit it first.
-                let limit = cycle_err.as_ref().map_or(num_sms, |(id, _)| id + 1);
-                let t = profile.then(std::time::Instant::now);
-                for id in 0..limit {
-                    let sm = sm_at_mut(&mut chunks, threads, id);
-                    // Replaying an empty stage is a no-op; skip the call so
-                    // idle SMs cost nothing in the merge.
-                    if sm.has_staged() {
-                        sm.replay_stage(&mut self.mem, now)?;
-                    }
-                }
-                if let Some(t) = t {
-                    prof_merge_ns += t.elapsed().as_nanos() as u64;
-                }
-                if let Some((_, e)) = cycle_err {
-                    return Err(e);
-                }
-                if finished > 0 {
-                    remaining -= finished as usize;
-                    // Refill SMs that just freed resources.
-                    dispatch_pending(&mut chunks, threads, &mut pending, &lctx, &mut age_counter);
-                }
-                if issued_any {
-                    stats.busy_cycles += 1;
-                    idle_since = now + 1;
-                } else if self.mem.quiescent() && now - idle_since >= self.cfg.watchdog_cycles {
-                    // Nothing can ever issue again: classic SIMT deadlock.
-                    return Err(hang_error(
+                        pending: pending.clone(),
+                        age_counter,
+                        stats: stats.clone(),
+                        idle_since,
+                        remaining,
+                        livelock_since,
+                        locks_at_scan,
+                        mem_before,
+                    };
+                    let body = snapshot_body(
+                        fingerprint,
+                        (scheduler_name.as_str(), detector_name.as_str()),
+                        &state,
+                        &sms,
                         &self.mem,
-                        HangClass::GlobalDeadlock,
+                    );
+                    (c.sink)(now, &body);
+                }
+            }
+            // Memory completions first so unblocked warps can issue today.
+            let t = profile.then(std::time::Instant::now);
+            completions.clear();
+            self.mem.cycle_into(now, &mut completions);
+            for c in completions.drain(..) {
+                let sm = c.sm;
+                sms[sm].on_mem_complete(c)?;
+            }
+            if let Some(t) = t {
+                prof_mem_ns += t.elapsed().as_nanos() as u64;
+            }
+            // Cycle the SMs in id order; each enqueues its global-memory
+            // requests into the memory system as it issues them.
+            let mut issued_any = false;
+            let mut finished = 0u32;
+            for sm in &mut sms {
+                if sm.has_work() {
+                    let r = sm.cycle(now, &lctx, &mut self.mem, &mut stats)?;
+                    issued_any |= r.issued > 0;
+                    finished += r.ctas_finished;
+                }
+            }
+            if finished > 0 {
+                remaining -= finished as usize;
+                // Refill SMs that just freed resources.
+                dispatch_pending(&mut sms, &mut pending, &lctx, &mut age_counter);
+            }
+            if issued_any {
+                stats.busy_cycles += 1;
+                idle_since = now + 1;
+            } else if self.mem.quiescent() && now - idle_since >= self.cfg.watchdog_cycles {
+                // Nothing can ever issue again: classic SIMT deadlock.
+                return Err(hang_error(
+                    &self.mem,
+                    HangClass::GlobalDeadlock,
+                    now,
+                    &sms,
+                    &scheduler_name,
+                ));
+            }
+
+            // Cooperative cancellation, polled on the same cadence as the
+            // forward-progress scan (Skip-engine horizons are clamped to
+            // SCAN_PERIOD boundaries, so dead spans cannot outrun it).
+            if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
+                if let Some(cause) = self.cancel.as_ref().and_then(CancelToken::fired) {
+                    return Err(SimError::Cancelled { cycle: now, cause });
+                }
+            }
+
+            // Periodic forward-progress scan: catches hangs where warps
+            // keep issuing (spin livelock) or where one warp silently
+            // starves while the rest of the machine stays busy.
+            if now.is_multiple_of(SCAN_PERIOD) && now > 0 && remaining > 0 {
+                let mut agg = ProgressScan::default();
+                let mut starved: Option<(usize, usize)> = None;
+                let mut backoff_starved: Option<(usize, usize)> = None;
+                for (id, sm) in sms.iter().enumerate() {
+                    let s = sm.scan_progress(
                         now,
-                        &chunks,
-                        threads,
-                        &scheduler_name,
-                    ));
-                }
-
-                // Cooperative cancellation, polled on the same cadence as the
-                // forward-progress scan (Skip-engine horizons are clamped to
-                // SCAN_PERIOD boundaries, so dead spans cannot outrun it).
-                if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
-                    if let Some(cause) = self.cancel.as_ref().and_then(CancelToken::fired) {
-                        return Err(SimError::Cancelled { cycle: now, cause });
-                    }
-                }
-
-                // Periodic forward-progress scan: catches hangs where warps
-                // keep issuing (spin livelock) or where one warp silently
-                // starves while the rest of the machine stays busy.
-                if now.is_multiple_of(SCAN_PERIOD) && now > 0 && remaining > 0 {
-                    let mut agg = ProgressScan::default();
-                    let mut starved: Option<(usize, usize)> = None;
-                    let mut backoff_starved: Option<(usize, usize)> = None;
-                    for id in 0..num_sms {
-                        let s = sm_at(&chunks, threads, id).scan_progress(
-                            now,
-                            self.cfg.watchdog_cycles,
-                            self.cfg.backoff_starvation_cycles,
-                        );
-                        agg.live += s.live;
-                        agg.spinning += s.spinning;
-                        agg.spinning_or_blocked += s.spinning_or_blocked;
-                        // The winner is the explicit lexicographic minimum
-                        // `(sm, warp)` pair, so hang attribution cannot
-                        // depend on the order SMs happened to be visited.
-                        if let Some(w) = s.backoff_starved {
-                            let cand = (id, w);
-                            if backoff_starved.is_none_or(|b| cand < b) {
-                                backoff_starved = Some(cand);
-                            }
-                        }
-                        if let Some(w) = s.starved {
-                            let cand = (id, w);
-                            if starved.is_none_or(|b| cand < b) {
-                                starved = Some(cand);
-                            }
+                        self.cfg.watchdog_cycles,
+                        self.cfg.backoff_starvation_cycles,
+                    );
+                    agg.live += s.live;
+                    agg.spinning += s.spinning;
+                    agg.spinning_or_blocked += s.spinning_or_blocked;
+                    // The winner is the explicit lexicographic minimum
+                    // `(sm, warp)` pair, so hang attribution cannot depend
+                    // on the order SMs happened to be visited.
+                    if let Some(w) = s.backoff_starved {
+                        let cand = (id, w);
+                        if backoff_starved.is_none_or(|b| cand < b) {
+                            backoff_starved = Some(cand);
                         }
                     }
-                    let locks_now = self.mem.stats().lock_success;
-                    let lock_delta = locks_now - locks_at_scan;
-                    locks_at_scan = locks_now;
-                    if let Some((sm, warp)) = backoff_starved {
-                        let class = HangClass::BackoffStarvation { sm, warp };
-                        return Err(hang_error(
-                            &self.mem,
-                            class,
-                            now,
-                            &chunks,
-                            threads,
-                            &scheduler_name,
-                        ));
-                    }
-                    if let Some((sm, warp)) = starved {
-                        let class = HangClass::Starvation { sm, warp };
-                        return Err(hang_error(
-                            &self.mem,
-                            class,
-                            now,
-                            &chunks,
-                            threads,
-                            &scheduler_name,
-                        ));
-                    }
-                    let stalled = agg.live > 0
-                        && agg.spinning > 0
-                        && agg.spinning_or_blocked == agg.live
-                        && lock_delta == 0;
-                    if stalled {
-                        let since = *livelock_since.get_or_insert(now);
-                        if now - since >= self.cfg.watchdog_cycles {
-                            let class = HangClass::SpinLivelock;
-                            return Err(hang_error(
-                                &self.mem,
-                                class,
-                                now,
-                                &chunks,
-                                threads,
-                                &scheduler_name,
-                            ));
+                    if let Some(w) = s.starved {
+                        let cand = (id, w);
+                        if starved.is_none_or(|b| cand < b) {
+                            starved = Some(cand);
                         }
-                    } else {
-                        livelock_since = None;
                     }
                 }
-
-                // Event-horizon fast-forward. A cycle in which no unit issued
-                // and no CTA retired leaves the whole machine in a state that
-                // cannot change until (a) the memory system delivers or serves
-                // something, or (b) an SM's own timers fire (writeback wheel,
-                // BOWS back-off expiry, adaptive-window update). Jump straight
-                // to that horizon, bulk-accruing the skipped cycles' stall
-                // statistics. Clamps keep every externally observable
-                // transition on its cycle-engine schedule: forward-progress
-                // scans stay on SCAN_PERIOD boundaries, GTO age rotation is
-                // observed at each rotation edge, the global-deadlock watchdog
-                // fires at exactly `idle_since + watchdog_cycles`, and the
-                // cycle limit trips at exactly `max_cycles`.
-                let mut next = now + 1;
-                if skip && !issued_any && finished == 0 {
-                    let t = profile.then(std::time::Instant::now);
-                    let mut horizon = u64::MAX;
-                    if let Some(t) = self.mem.next_event(now) {
-                        horizon = horizon.min(t);
+                let locks_now = self.mem.stats().lock_success;
+                let lock_delta = locks_now - locks_at_scan;
+                locks_at_scan = locks_now;
+                if let Some((sm, warp)) = backoff_starved {
+                    let class = HangClass::BackoffStarvation { sm, warp };
+                    return Err(hang_error(&self.mem, class, now, &sms, &scheduler_name));
+                }
+                if let Some((sm, warp)) = starved {
+                    let class = HangClass::Starvation { sm, warp };
+                    return Err(hang_error(&self.mem, class, now, &sms, &scheduler_name));
+                }
+                let stalled = agg.live > 0
+                    && agg.spinning > 0
+                    && agg.spinning_or_blocked == agg.live
+                    && lock_delta == 0;
+                if stalled {
+                    let since = *livelock_since.get_or_insert(now);
+                    if now - since >= self.cfg.watchdog_cycles {
+                        let class = HangClass::SpinLivelock;
+                        return Err(hang_error(&self.mem, class, now, &sms, &scheduler_name));
                     }
-                    // Each chunk min-reduced its own SMs' `next_ready_cycle`
-                    // during the cycle round (the per-SM scan is as costly
-                    // as the cycle itself, so it parallelizes with it);
-                    // folding the chunk minima equals the serial fold.
-                    for ch in &chunks {
-                        if let Some(t) = ch.ready {
+                } else {
+                    livelock_since = None;
+                }
+            }
+
+            // Event-horizon fast-forward. A cycle in which no unit issued
+            // and no CTA retired leaves the whole machine in a state that
+            // cannot change until (a) the memory system delivers or serves
+            // something, or (b) an SM's own timers fire (writeback wheel,
+            // BOWS back-off expiry, adaptive-window update). Jump straight
+            // to that horizon, bulk-accruing the skipped cycles' stall
+            // statistics. Clamps keep every externally observable
+            // transition on its cycle-engine schedule: forward-progress
+            // scans stay on SCAN_PERIOD boundaries, GTO age rotation is
+            // observed at each rotation edge, the global-deadlock watchdog
+            // fires at exactly `idle_since + watchdog_cycles`, and the
+            // cycle limit trips at exactly `max_cycles`.
+            let mut next = now + 1;
+            if skip && !issued_any && finished == 0 {
+                let t = profile.then(std::time::Instant::now);
+                let mut horizon = u64::MAX;
+                if let Some(t) = self.mem.next_event(now) {
+                    horizon = horizon.min(t);
+                }
+                for sm in &sms {
+                    if sm.has_work() {
+                        if let Some(t) = sm.next_ready_cycle(now) {
                             horizon = horizon.min(t);
                         }
                     }
-                    horizon = horizon.min((now / SCAN_PERIOD + 1) * SCAN_PERIOD);
-                    let rotate = self.cfg.gto_rotate_period.max(1);
-                    horizon = horizon.min((now / rotate + 1) * rotate);
-                    // Checkpoint boundaries are kept as explicit cycles.
-                    // Safe by the engine-equivalence invariant: a span is
-                    // only skippable when every cycle in it changes nothing,
-                    // so landing on the boundary and continuing is
-                    // bit-identical to jumping over it.
-                    if let Some(c) = &ctl {
-                        // checked_div: None when checkpointing is off
-                        // (every == 0), so no boundary clamps the horizon.
-                        if let Some(q) = now.checked_div(c.every) {
-                            horizon = horizon.min((q + 1) * c.every);
+                }
+                horizon = horizon.min((now / SCAN_PERIOD + 1) * SCAN_PERIOD);
+                let rotate = self.cfg.gto_rotate_period.max(1);
+                horizon = horizon.min((now / rotate + 1) * rotate);
+                // Checkpoint boundaries are kept as explicit cycles. Safe
+                // by the engine-equivalence invariant: a span is only
+                // skippable when every cycle in it changes nothing, so
+                // landing on the boundary and continuing is bit-identical
+                // to jumping over it.
+                if let Some(c) = &ctl {
+                    // checked_div: None when checkpointing is off
+                    // (every == 0), so no boundary clamps the horizon.
+                    if let Some(q) = now.checked_div(c.every) {
+                        horizon = horizon.min((q + 1) * c.every);
+                    }
+                }
+                if self.mem.quiescent() {
+                    // Quiescence cannot end inside a dead span, so the
+                    // deadlock deadline is a hard horizon bound.
+                    horizon = horizon.min(idle_since + self.cfg.watchdog_cycles);
+                }
+                if self.cfg.max_cycles > 0 {
+                    horizon = horizon.min(self.cfg.max_cycles);
+                }
+                if horizon > next {
+                    let span = horizon - next;
+                    for sm in &mut sms {
+                        if sm.has_work() {
+                            sm.fast_forward(now, span, &mut stats);
                         }
                     }
-                    if self.mem.quiescent() {
-                        // Quiescence cannot end inside a dead span, so the
-                        // deadlock deadline is a hard horizon bound.
-                        horizon = horizon.min(idle_since + self.cfg.watchdog_cycles);
-                    }
-                    if self.cfg.max_cycles > 0 {
-                        horizon = horizon.min(self.cfg.max_cycles);
-                    }
-                    if horizon > next {
-                        let span = horizon - next;
-                        round += 1;
-                        run_round(&slots, &mut chunks, Job::Skip { now, span }, &lctx, round);
-                        next = horizon;
-                    }
-                    if let Some(t) = t {
-                        prof_skip_ns += t.elapsed().as_nanos() as u64;
-                    }
+                    next = horizon;
                 }
-                now = next;
-                if self.cfg.max_cycles > 0 && now >= self.cfg.max_cycles {
-                    return Err(hang_error(
-                        &self.mem,
-                        HangClass::CycleLimit,
-                        now,
-                        &chunks,
-                        threads,
-                        &scheduler_name,
-                    ));
+                if let Some(t) = t {
+                    prof_skip_ns += t.elapsed().as_nanos() as u64;
                 }
             }
-            Ok(now)
-        });
-        let now = final_cycle?;
-
-        for ch in &chunks {
-            stats.add(&ch.stats);
+            now = next;
+            if self.cfg.max_cycles > 0 && now >= self.cfg.max_cycles {
+                return Err(hang_error(
+                    &self.mem,
+                    HangClass::CycleLimit,
+                    now,
+                    &sms,
+                    &scheduler_name,
+                ));
+            }
         }
+
         stats.cycles = now;
         let mut mem_stats = *self.mem.stats();
         mem_stats = delta(&mem_stats, &mem_before);
@@ -848,8 +727,7 @@ impl Gpu {
                 .evaluate(&stats, &mem_stats, self.cfg.num_sms, self.cfg.core_clock_mhz);
         let mut branch_log = BranchLog::default();
         let mut confirmed: Vec<(usize, u64)> = Vec::new();
-        for id in 0..num_sms {
-            let sm = sm_at(&chunks, threads, id);
+        for sm in &sms {
             branch_log.merge(&sm.branch_log);
             for (pc, cycle) in sm.detector.confirmed_sibs() {
                 match confirmed.iter_mut().find(|(p, _)| *p == pc) {
@@ -860,8 +738,9 @@ impl Gpu {
         }
         confirmed.sort_unstable();
         let final_state = if self.cfg.capture_final_state {
-            let mut ctas: Vec<crate::warp::CtaState> = (0..num_sms)
-                .flat_map(|id| std::mem::take(&mut sm_at_mut(&mut chunks, threads, id).captured))
+            let mut ctas: Vec<crate::warp::CtaState> = sms
+                .iter_mut()
+                .flat_map(|sm| std::mem::take(&mut sm.captured))
                 .collect();
             ctas.sort_by_key(|c| c.cta_id);
             Some(ctas)
@@ -871,14 +750,12 @@ impl Gpu {
         let profile_report = run_start.map(|start| {
             let mut p = ProfileReport {
                 mem_cycle_ns: prof_mem_ns,
-                merge_ns: prof_merge_ns,
                 skip_horizon_ns: prof_skip_ns,
                 total_ns: start.elapsed().as_nanos() as u64,
                 ..ProfileReport::default()
             };
             let mut issue_incl = 0u64;
-            for id in 0..num_sms {
-                let sm = sm_at(&chunks, threads, id);
+            for sm in &sms {
                 p.fetch_ns += sm.prof.fetch_ns;
                 issue_incl += sm.prof.issue_ns;
                 p.execute_ns += sm.prof.execute_ns;
@@ -920,12 +797,11 @@ struct RunState {
 }
 
 /// Stable identity of (config, kernel, launch): a snapshot resumes only
-/// into the run that produced it. `sm_threads` is zeroed first because
-/// snapshots are worker-count-invariant by construction — per-chunk stats
-/// are folded before serializing and SMs are written in id order — so a
-/// snapshot taken at one thread count restores at any other.
+/// into the run that produced it.
 fn snapshot_fingerprint(cfg: &GpuConfig, kernel: &Kernel, launch: &LaunchSpec) -> u64 {
     let mut c = cfg.clone();
+    // `sm_threads` is inert; zeroing it keeps whatever a caller leaves in
+    // it out of the snapshot identity.
     c.sm_threads = 0;
     // Profiling is observational (wall-clock timers only), so a profiled
     // run and a plain run share a snapshot identity.
@@ -961,11 +837,9 @@ fn snapshot_body(
     fingerprint: u64,
     names: (&str, &str),
     state: &RunState,
-    chunks: &[Chunk],
-    threads: usize,
+    sms: &[Sm],
     mem: &MemorySystem,
 ) -> Vec<u8> {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
     let mut w = simt_snap::SnapWriter::new();
     w.u64(fingerprint);
     w.str(names.0);
@@ -988,31 +862,29 @@ fn snapshot_body(
     }
     w.u64(state.locks_at_scan);
     state.mem_before.save_snap(&mut w);
-    w.usize(num_sms);
-    for id in 0..num_sms {
-        sm_at(chunks, threads, id).save_snap(&mut w);
+    w.usize(sms.len());
+    for sm in sms {
+        sm.save_snap(&mut w);
     }
     mem.save_snap(&mut w);
     w.into_bytes()
 }
 
-/// Parse and restore a snapshot body into freshly constructed chunks and
-/// the device memory system. Identity (fingerprint, scheduler, detector)
+/// Parse and restore a snapshot body into freshly constructed SMs and the
+/// device memory system. Identity (fingerprint, scheduler, detector)
 /// is checked before anything mutates; the memory system is restored last
 /// and atomically, so on any error the GPU's device memory is untouched.
-#[allow(clippy::too_many_arguments)]
 fn restore_snapshot(
     body: &[u8],
     fingerprint: u64,
     names: (&str, &str),
-    chunks: &mut [Chunk],
-    threads: usize,
+    sms: &mut [Sm],
     mem: &mut MemorySystem,
     kernel: &Kernel,
     launch: &LaunchSpec,
 ) -> Result<RunState, simt_snap::SnapshotError> {
     use simt_snap::SnapshotError;
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
+    let num_sms = sms.len();
     let mut r = simt_snap::SnapReader::new(body);
     let fp = r.u64()?;
     if fp != fingerprint {
@@ -1074,8 +946,8 @@ fn restore_snapshot(
             "snapshot has {nsms} SMs, this machine has {num_sms}"
         )));
     }
-    for id in 0..num_sms {
-        sm_at_mut(chunks, threads, id).load_snap(&mut r, &limits)?;
+    for sm in sms.iter_mut() {
+        sm.load_snap(&mut r, &limits)?;
     }
     mem.load_snap(&mut r)?;
     r.expect_exhausted()?;
@@ -1092,226 +964,21 @@ fn restore_snapshot(
     })
 }
 
-/// One worker's share of the machine: its SMs (strided by SM id) plus its
-/// private statistics accumulator and the per-round outputs of
-/// [`run_job`].
-#[derive(Default)]
-struct Chunk {
-    /// SMs with ids `w, w+threads, w+2*threads, ...`, ascending.
-    sms: Vec<Sm>,
-    /// Per-chunk statistics, accumulated across the whole run and merged
-    /// into the run total at the end (all fields are order-independent
-    /// sums).
-    stats: SimStats,
-    /// Warp instructions issued across the chunk this round.
-    issued: u32,
-    /// CTAs retired across the chunk this round.
-    finished: u32,
-    /// First (lowest-SM-id) cycle error in the chunk this round.
-    err: Option<(usize, SimError)>,
-    /// Chunk-local minimum of [`Sm::next_ready_cycle`], computed only when
-    /// the chunk issued and finished nothing (valid exactly when the whole
-    /// machine had a dead cycle — no chunk issued — which is the only time
-    /// the fast-forward horizon reads it).
-    ready: Option<u64>,
-}
-
-/// One round's work order for a chunk.
-#[derive(Clone, Copy)]
-enum Job {
-    /// Cycle every SM with work at `now`; when `want_ready`, also
-    /// min-reduce `next_ready_cycle` if the chunk stayed quiet.
-    Cycle { now: u64, want_ready: bool },
-    /// Bulk-apply a dead span (`fast_forward`) to every SM with work.
-    Skip { now: u64, span: u64 },
-}
-
-/// Spin-based handoff cell between the coordinator and one worker.
-///
-/// Ownership of the chunk ping-pongs through `cell`, sequenced by the two
-/// monotonic round counters: the coordinator stores the chunk and bumps
-/// `go`; the worker processes and bumps `done`. Only one side touches the
-/// cell at a time, so the mutex is always uncontended — it exists to keep
-/// the handoff in safe code.
-#[derive(Default)]
-struct Slot {
-    cell: Mutex<Option<(Job, Chunk)>>,
-    go: AtomicU64,
-    done: AtomicU64,
-}
-
-/// Unblocks workers on scope exit (normal, error, or panic) by publishing
-/// the shutdown round.
-struct ShutdownGuard<'a>(&'a [Slot]);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        for s in self.0 {
-            s.go.store(u64::MAX, Ordering::Release);
-        }
-    }
-}
-
-/// Wait until `a >= target`. Spin briefly — on a multi-core host the
-/// other side publishes within a few hundred nanoseconds — then fall back
-/// to `yield_now`. The spin budget is deliberately small: when the host
-/// is oversubscribed (more simulation threads than cores), the other side
-/// cannot run until this thread yields, and a long spin would serialize
-/// every handoff behind a burned scheduler quantum.
-fn spin_until_at_least(a: &AtomicU64, target: u64) -> u64 {
-    let mut spins = 0u32;
-    loop {
-        let v = a.load(Ordering::Acquire);
-        if v >= target {
-            return v;
-        }
-        spins = spins.wrapping_add(1);
-        if spins < 256 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Worker thread body: take each round's job, run it, hand the chunk
-/// back, acknowledging the round number the coordinator published (the
-/// coordinator skips a worker on rounds when its chunk is idle, so the
-/// sequence a worker sees is increasing but not contiguous).
-fn worker(slot: &Slot, lctx: &LaunchCtx<'_>) {
-    let mut last = 0u64;
-    loop {
-        let round = spin_until_at_least(&slot.go, last + 1);
-        if round == u64::MAX {
-            return;
-        }
-        let (job, mut chunk) = slot
-            .cell
-            .lock()
-            .expect("handoff cell poisoned")
-            .take()
-            .expect("round published without a job");
-        run_job(job, &mut chunk, lctx);
-        *slot.cell.lock().expect("handoff cell poisoned") = Some((job, chunk));
-        slot.done.store(round, Ordering::Release);
-        last = round;
-    }
-}
-
-/// Run one round: hand chunks 1.. to the workers, process chunk 0 on the
-/// coordinator thread, then collect every chunk back. With one thread
-/// (serial) this degenerates to an inline `run_job` on the single chunk.
-fn run_round(slots: &[Slot], chunks: &mut [Chunk], job: Job, lctx: &LaunchCtx<'_>, round: u64) {
-    // A chunk whose SMs are all drained has nothing to do; processing it
-    // inline (a cheap `has_work` sweep that resets its round outputs)
-    // avoids paying a handoff for it. Common in the tail of a run, when
-    // only a few SMs still hold CTAs. A handed-off chunk is recognizable
-    // afterwards by its taken (empty) `sms` — every real chunk owns at
-    // least one SM because `threads <= num_sms`.
-    for (w, slot) in slots.iter().enumerate() {
-        if !chunks[w + 1].sms.iter().any(Sm::has_work) {
-            continue;
-        }
-        let chunk = std::mem::take(&mut chunks[w + 1]);
-        *slot.cell.lock().expect("handoff cell poisoned") = Some((job, chunk));
-        slot.go.store(round, Ordering::Release);
-    }
-    for chunk in chunks.iter_mut() {
-        if !chunk.sms.is_empty() {
-            run_job(job, chunk, lctx);
-        }
-    }
-    for (w, slot) in slots.iter().enumerate() {
-        if !chunks[w + 1].sms.is_empty() {
-            continue;
-        }
-        spin_until_at_least(&slot.done, round);
-        let (_, chunk) = slot
-            .cell
-            .lock()
-            .expect("handoff cell poisoned")
-            .take()
-            .expect("worker returned no chunk");
-        chunks[w + 1] = chunk;
-    }
-}
-
-/// Execute one round's job on one chunk (on a worker or the coordinator).
-fn run_job(job: Job, chunk: &mut Chunk, lctx: &LaunchCtx<'_>) {
-    match job {
-        Job::Cycle { now, want_ready } => {
-            chunk.issued = 0;
-            chunk.finished = 0;
-            chunk.ready = None;
-            debug_assert!(chunk.err.is_none());
-            for sm in &mut chunk.sms {
-                if !sm.has_work() {
-                    continue;
-                }
-                match sm.cycle(now, lctx, &mut chunk.stats) {
-                    Ok(r) => {
-                        chunk.issued += r.issued;
-                        chunk.finished += r.ctas_finished;
-                    }
-                    Err(e) => {
-                        // Stop at the first error, as the serial loop would:
-                        // later SMs in the chunk must not stage anything.
-                        chunk.err = Some((sm.id, e));
-                        break;
-                    }
-                }
-            }
-            if want_ready && chunk.issued == 0 && chunk.finished == 0 && chunk.err.is_none() {
-                let mut ready: Option<u64> = None;
-                for sm in &chunk.sms {
-                    if sm.has_work() {
-                        if let Some(t) = sm.next_ready_cycle(now) {
-                            ready = Some(ready.map_or(t, |r| r.min(t)));
-                        }
-                    }
-                }
-                chunk.ready = ready;
-            }
-        }
-        Job::Skip { now, span } => {
-            for sm in &mut chunk.sms {
-                if sm.has_work() {
-                    sm.fast_forward(now, span, &mut chunk.stats);
-                }
-            }
-        }
-    }
-}
-
-/// The SM with id `id` (chunks stride SMs round-robin by worker).
-fn sm_at(chunks: &[Chunk], threads: usize, id: usize) -> &Sm {
-    &chunks[id % threads].sms[id / threads]
-}
-
-/// The SM with id `id`, mutable.
-fn sm_at_mut(chunks: &mut [Chunk], threads: usize, id: usize) -> &mut Sm {
-    &mut chunks[id % threads].sms[id / threads]
-}
-
 /// Build a classified hang error with a full warp-state snapshot (warps
-/// in SM-id order, regardless of chunking).
+/// in SM-id order).
 fn hang_error(
     mem: &MemorySystem,
     class: HangClass,
     cycle: u64,
-    chunks: &[Chunk],
-    threads: usize,
+    sms: &[Sm],
     scheduler: &str,
 ) -> SimError {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
     let mstats = mem.stats();
     let report = Box::new(HangReport {
         class,
         cycle,
         scheduler: scheduler.to_string(),
-        warps: (0..num_sms)
-            .flat_map(|id| sm_at(chunks, threads, id).snapshots(cycle))
-            .collect(),
+        warps: sms.iter().flat_map(|sm| sm.snapshots(cycle)).collect(),
         mem_in_flight: mem.in_flight(),
         lock_success: mstats.lock_success,
         lock_fails: mstats.lock_intra_fail + mstats.lock_inter_fail,
@@ -1325,23 +992,19 @@ fn hang_error(
 /// Round-robin CTA dispatch: repeatedly offer the oldest pending CTA to
 /// each SM in turn (ascending SM id) until a full pass launches nothing
 /// (used both for the initial dispatch and for refills after a CTA
-/// retires). Runs only on the coordinator thread with every chunk
-/// resident, so refill order — and with it every age key — is identical
-/// at any `sm_threads`.
+/// retires).
 fn dispatch_pending(
-    chunks: &mut [Chunk],
-    threads: usize,
+    sms: &mut [Sm],
     pending: &mut VecDeque<usize>,
     lctx: &LaunchCtx<'_>,
     age_counter: &mut u64,
 ) {
-    let num_sms: usize = chunks.iter().map(|c| c.sms.len()).sum();
     let mut made_progress = true;
     while made_progress && !pending.is_empty() {
         made_progress = false;
-        for id in 0..num_sms {
+        for sm in sms.iter_mut() {
             let Some(&cta) = pending.front() else { break };
-            if sm_at_mut(chunks, threads, id).try_launch_cta(cta, lctx, age_counter) {
+            if sm.try_launch_cta(cta, lctx, age_counter) {
                 pending.pop_front();
                 made_progress = true;
             }
@@ -1459,45 +1122,6 @@ mod tests {
                 }
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
-        }
-    }
-
-    /// The multi-worker executor on a many-SM machine agrees with the
-    /// serial one bit-for-bit, and an over-asked worker count clamps to
-    /// `num_sms` rather than spawning idle threads.
-    #[test]
-    fn parallel_sm_workers_match_serial() {
-        let run_at = |sm_threads: usize| {
-            let mut cfg = GpuConfig::test_tiny();
-            cfg.num_sms = 3;
-            cfg.sm_threads = sm_threads;
-            let mut gpu = Gpu::new(cfg);
-            let n = 256u64;
-            let a = gpu.mem_mut().gmem_mut().alloc(n);
-            let b = gpu.mem_mut().gmem_mut().alloc(n);
-            let out = gpu.mem_mut().gmem_mut().alloc(n);
-            for i in 0..n {
-                gpu.mem_mut().gmem_mut().write_u32(a + i * 4, i as u32);
-                gpu.mem_mut().gmem_mut().write_u32(b + i * 4, 2 * i as u32);
-            }
-            let kernel = vec_add_kernel();
-            let launch = LaunchSpec {
-                grid_ctas: 8,
-                threads_per_cta: 32,
-                params: vec![a as u32, b as u32, out as u32],
-            };
-            let report = gpu.run_baseline(&kernel, &launch, BasePolicy::Gto).unwrap();
-            for i in 0..n {
-                assert_eq!(gpu.mem().gmem().read_u32(out + i * 4), 3 * i as u32);
-            }
-            report
-        };
-        let serial = run_at(1);
-        for threads in [2usize, 3, 64] {
-            let parallel = run_at(threads);
-            assert_eq!(parallel.cycles, serial.cycles, "{threads} workers");
-            assert_eq!(parallel.sim, serial.sim, "{threads} workers");
-            assert_eq!(parallel.mem, serial.mem, "{threads} workers");
         }
     }
 

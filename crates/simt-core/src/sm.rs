@@ -7,9 +7,7 @@ use crate::warp::{Cta, Warp};
 use crate::watchdog::{ProgressScan, WarpProgress, WarpSnapshot};
 use crate::{GpuConfig, SimError, SimStats};
 use simt_isa::{DecodedInst, DecodedKernel, ExecClass, Kernel, OpClass, Operand, Reg, Special};
-use simt_mem::{
-    LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, RequestStage, TagSlab,
-};
+use simt_mem::{LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, TagSlab};
 
 /// Writeback-wheel capacity; must exceed every ALU latency.
 const WHEEL: usize = 64;
@@ -61,49 +59,6 @@ struct PendingMem {
     warp: usize,
     remaining: u32,
     kind: PendKind,
-}
-
-/// A global-memory touch point staged during [`Sm::cycle`] and applied by
-/// [`Sm::replay_stage`].
-///
-/// [`Sm::cycle`] has no access to the shared [`MemorySystem`] (it may be
-/// running on a worker thread), so every functional global-memory effect —
-/// a load's reads, a store's writes, an atomic's address validation — is
-/// recorded here in issue order, together with the number of coalesced
-/// requests the op pushed into the SM's [`RequestStage`]. Replaying the
-/// stages in SM-id order reproduces serial execution's global-memory
-/// access order exactly: registers are CTA-private (no SM ever reads
-/// another SM's registers), a load's destination register is
-/// scoreboard-held until the timing request completes, and the request
-/// enqueue itself is timing-only (atomics mutate memory later, at
-/// partition service).
-#[derive(Debug)]
-enum StagedOp {
-    /// `ld.global`: read each `(thread, addr)` lane and write the value to
-    /// the thread's `dst` register.
-    Load {
-        warp: usize,
-        pc: usize,
-        dst: Reg,
-        lanes: Vec<(usize, u64)>,
-        n_reqs: u32,
-    },
-    /// `st.global`: lane values were computed at issue from (CTA-private)
-    /// registers; the memory writes themselves happen at replay, stopping
-    /// at the first faulting lane exactly as at-issue execution would.
-    Store {
-        pc: usize,
-        writes: Vec<(u64, u32)>,
-        n_reqs: u32,
-    },
-    /// `atom.global`: per-lane address validation (the lane ops are applied
-    /// later inside the partition's atomic unit, which has no error path
-    /// back to the warp).
-    Atomic {
-        pc: usize,
-        addrs: Vec<u64>,
-        n_reqs: u32,
-    },
 }
 
 /// CTA-level event produced by executing an instruction.
@@ -214,10 +169,6 @@ pub struct Sm {
     issued_scratch: Vec<Option<usize>>,
     /// Per-unit scratch for the eligible-warp list (reused, never freed).
     eligible_scratch: Vec<usize>,
-    /// Global-memory ops staged this cycle, drained by [`Sm::replay_stage`].
-    staged: Vec<StagedOp>,
-    /// Coalesced requests staged this cycle, absorbed in op order.
-    stage: RequestStage,
     /// Capture CTA architectural state at retirement (differential oracle).
     capture_state: bool,
     /// Snapshots of retired CTAs, in retirement order (drained by the GPU
@@ -289,8 +240,6 @@ impl Sm {
             live_version: u64::MAX,
             issued_scratch: vec![None; cfg.schedulers_per_sm],
             eligible_scratch: Vec::with_capacity(cfg.warps_per_sm()),
-            staged: Vec::new(),
-            stage: RequestStage::new(),
             capture_state: cfg.capture_final_state,
             captured: Vec::new(),
             profile: cfg.profile,
@@ -353,7 +302,7 @@ impl Sm {
         // at launch, never on how the interleaving of per-warp increments
         // with other bookkeeping happens to be ordered. GTO age priorities
         // therefore come out identical however CTA retirements were
-        // discovered (serial or parallel SM cycling).
+        // discovered.
         let base = *age_counter;
         for (wic, &ws) in free_slots.iter().enumerate() {
             let lanes = (threads - wic * 32).min(32);
@@ -467,20 +416,24 @@ impl Sm {
 
     /// Advance one cycle: writebacks, then one issue attempt per unit.
     ///
-    /// Touches no shared state: global-memory effects are staged on the SM
-    /// (see [`StagedOp`]) and applied by the caller via
-    /// [`Sm::replay_stage`] in SM-id order — which is what makes cycling
-    /// SMs on worker threads bit-identical to serial execution.
+    /// Global-memory instructions take effect at issue: a load's reads, a
+    /// store's writes and an atomic's address checks go straight to
+    /// `mem`'s device memory, and their coalesced requests are enqueued
+    /// into `mem` in issue order.
     ///
     /// # Errors
     ///
     /// [`SimError::InternalInvariant`] when execution hits a state the
     /// kernel should have made impossible (out-of-range parameter or
-    /// shared-memory access, a store to param space, a retired CTA).
+    /// shared-memory access, a store to param space, a retired CTA);
+    /// [`SimError::DeviceFault`] on a wild global access, from the first
+    /// faulting lane in issue order (earlier lanes of a faulting store
+    /// are already written).
     pub fn cycle(
         &mut self,
         now: u64,
         lctx: &LaunchCtx<'_>,
+        mem: &mut MemorySystem,
         stats: &mut SimStats,
     ) -> Result<SmCycle, SimError> {
         let mut result = SmCycle::default();
@@ -614,11 +567,11 @@ impl Sm {
             stats.stall_arbitration += (self.eligible_scratch.len() - 1) as u64;
             let outcome = if self.profile {
                 let t = std::time::Instant::now();
-                let o = self.execute(w, now, lctx, stats)?;
+                let o = self.execute(w, now, lctx, mem, stats)?;
                 self.prof.execute_ns += t.elapsed().as_nanos() as u64;
                 o
             } else {
-                self.execute(w, now, lctx, stats)?
+                self.execute(w, now, lctx, mem, stats)?
             };
             result.issued += 1;
             self.issued_scratch[u] = Some(w);
@@ -694,70 +647,6 @@ impl Sm {
             self.prof.issue_ns += t.elapsed().as_nanos() as u64;
         }
         Ok(result)
-    }
-
-    /// Apply this SM's staged global-memory work to the shared memory
-    /// system, in issue order: for each staged op, perform its functional
-    /// part (a load's reads + register writes, a store's writes, an
-    /// atomic's address validation), then absorb the op's coalesced
-    /// requests. The GPU loop calls this in fixed SM-id order after every
-    /// cycle round, so memory observes exactly the access order serial
-    /// execution would have produced — including chaos-engine RNG draws,
-    /// which happen per absorbed request.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DeviceFault`] on a wild access, from the first faulting
-    /// lane in issue order; that op's requests (and everything staged
-    /// after it) are dropped, leaving global memory exactly as at-issue
-    /// execution would have (earlier lanes of a faulting store are
-    /// already written).
-    pub fn replay_stage(&mut self, mem: &mut MemorySystem, now: u64) -> Result<(), SimError> {
-        let sm_id = self.id;
-        for op in self.staged.drain(..) {
-            match op {
-                StagedOp::Load {
-                    warp,
-                    pc,
-                    dst,
-                    lanes,
-                    n_reqs,
-                } => {
-                    let cta_slot = self.warps[warp].cta_slot;
-                    let Some(cta) = self.ctas[cta_slot].as_mut() else {
-                        return Err(invariant(format!(
-                            "sm {sm_id}: staged load for retired CTA slot {cta_slot}"
-                        )));
-                    };
-                    for (t, addr) in lanes {
-                        let v = mem
-                            .gmem()
-                            .try_read_u32(addr)
-                            .map_err(|fault| device_fault(sm_id, pc, fault))?;
-                        cta.set_reg(t, dst, v);
-                    }
-                    mem.absorb(sm_id, &mut self.stage, n_reqs as usize, now);
-                }
-                StagedOp::Store { pc, writes, n_reqs } => {
-                    for (addr, v) in writes {
-                        mem.gmem_mut()
-                            .try_write_u32(addr, v)
-                            .map_err(|fault| device_fault(sm_id, pc, fault))?;
-                    }
-                    mem.absorb(sm_id, &mut self.stage, n_reqs as usize, now);
-                }
-                StagedOp::Atomic { pc, addrs, n_reqs } => {
-                    for addr in addrs {
-                        mem.gmem()
-                            .check_addr(addr)
-                            .map_err(|fault| device_fault(sm_id, pc, fault))?;
-                    }
-                    mem.absorb(sm_id, &mut self.stage, n_reqs as usize, now);
-                }
-            }
-        }
-        debug_assert!(self.stage.is_empty(), "staged requests left unabsorbed");
-        Ok(())
     }
 
     /// Earliest future cycle (strictly after `now`) at which this SM can
@@ -871,13 +760,14 @@ impl Sm {
         }
     }
 
-    /// Functionally execute the instruction at the warp's PC, staging any
-    /// global-memory effects for [`Sm::replay_stage`].
+    /// Functionally execute the instruction at the warp's PC, applying any
+    /// global-memory effects to `mem` and enqueuing their requests.
     fn execute(
         &mut self,
         w_idx: usize,
         now: u64,
         lctx: &LaunchCtx<'_>,
+        mem: &mut MemorySystem,
         stats: &mut SimStats,
     ) -> Result<ExecOutcome, SimError> {
         let (lat_int, lat_fp, lat_sfu, lat_shared) =
@@ -1176,11 +1066,14 @@ impl Sm {
                 let dst = d.dst;
                 stats.load_inst += 1;
                 let mut accesses = Vec::with_capacity(lanes as usize);
-                let mut stage_lanes = Vec::with_capacity(lanes as usize);
                 for lane in BitIter(exec) {
                     let t = warp.thread_of(lane);
                     let addr = dec_addr(d, cta, t);
-                    stage_lanes.push((t, addr));
+                    let v = mem
+                        .gmem()
+                        .try_read_u32(addr)
+                        .map_err(|fault| device_fault(sm_id, pc, fault))?;
+                    cta.set_reg(t, dst, v);
                     accesses.push(simt_mem::LaneAccess {
                         lane: lane as u8,
                         addr,
@@ -1198,22 +1091,13 @@ impl Sm {
                     kind: PendKind::Load { dst },
                 });
                 warp.outstanding_mem += 1;
-                let mut n_reqs = 0u32;
                 for tx in txs {
                     let mut req = MemRequest::new(ReqKind::Load { bypass_l1 }, tx.line, tag);
                     if d.sync {
                         req = req.sync();
                     }
-                    self.stage.push(req);
-                    n_reqs += 1;
+                    mem.enqueue(sm_id, req, now);
                 }
-                self.staged.push(StagedOp::Load {
-                    warp: w_idx,
-                    pc,
-                    dst,
-                    lanes: stage_lanes,
-                    n_reqs,
-                });
                 warp.stack.advance(pc + 1);
             }
             ExecClass::StParam => {
@@ -1243,12 +1127,13 @@ impl Sm {
                 outcome.info.writes_mem = true;
                 stats.store_inst += 1;
                 let mut accesses = Vec::with_capacity(lanes as usize);
-                let mut writes = Vec::with_capacity(lanes as usize);
                 for lane in BitIter(exec) {
                     let t = warp.thread_of(lane);
                     let addr = dec_addr(d, cta, t);
                     let v = val!(&d.srcs[0], lane, t);
-                    writes.push((addr, v));
+                    mem.gmem_mut()
+                        .try_write_u32(addr, v)
+                        .map_err(|fault| device_fault(sm_id, pc, fault))?;
                     accesses.push(simt_mem::LaneAccess {
                         lane: lane as u8,
                         addr,
@@ -1262,16 +1147,13 @@ impl Sm {
                         kind: PendKind::Store,
                     });
                     warp.outstanding_mem += 1;
-                    let mut n_reqs = 0u32;
                     for tx in txs {
                         let mut req = MemRequest::new(ReqKind::Store, tx.line, tag);
                         if d.sync {
                             req = req.sync();
                         }
-                        self.stage.push(req);
-                        n_reqs += 1;
+                        mem.enqueue(sm_id, req, now);
                     }
-                    self.staged.push(StagedOp::Store { pc, writes, n_reqs });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1286,16 +1168,17 @@ impl Sm {
                     LockRole::None
                 };
                 let holder = ((self.id as u64) << 32) | w_idx as u64;
-                // Group lane ops by line, preserving lane order. Address
-                // validation is staged for replay: the lane ops are applied
-                // later inside the partition's atomic unit, which has no
-                // error path back to the warp.
+                // Group lane ops by line, preserving lane order. Addresses
+                // are validated here: the lane ops are applied later inside
+                // the partition's atomic unit, which has no error path back
+                // to the warp.
                 let mut groups: Vec<(u64, Vec<LaneAtomic>)> = Vec::new();
-                let mut addrs = Vec::with_capacity(lanes as usize);
                 for lane in BitIter(exec) {
                     let t = warp.thread_of(lane);
                     let addr = dec_addr(d, cta, t);
-                    addrs.push(addr);
+                    mem.gmem()
+                        .check_addr(addr)
+                        .map_err(|fault| device_fault(sm_id, pc, fault))?;
                     let a = val!(&d.srcs[0], lane, t);
                     let b = val!(&d.srcs[1], lane, t);
                     let op = LaneAtomic {
@@ -1322,17 +1205,14 @@ impl Sm {
                     });
                     warp.outstanding_mem += 1;
                     let sole = groups.len() == 1;
-                    let mut n_reqs = 0u32;
                     for (line, ops) in groups {
                         let mut req = MemRequest::new(ReqKind::Atomic { ops }, line, tag);
                         req.sole = sole;
                         if d.sync {
                             req = req.sync();
                         }
-                        self.stage.push(req);
-                        n_reqs += 1;
+                        mem.enqueue(sm_id, req, now);
                     }
-                    self.staged.push(StagedOp::Atomic { pc, addrs, n_reqs });
                 }
                 warp.stack.advance(pc + 1);
             }
@@ -1435,29 +1315,13 @@ impl Sm {
         self.ctas_resident > 0
     }
 
-    /// Whether this cycle staged any global-memory work — lets the merge
-    /// loop skip the [`Sm::replay_stage`] call for idle SMs.
-    pub fn has_staged(&self) -> bool {
-        !self.staged.is_empty()
-    }
-
     /// Serialize the SM's full dynamic state at a checkpoint boundary (top
     /// of a run-loop iteration, before any cycle work).
     ///
     /// Construction-derived members (latencies, capacities, `unit_warps`
     /// striding, scratch buffers) are rebuilt from the config on restore and
-    /// not written. `staged`/`stage` must be empty at the boundary — every
-    /// cycle drains them through [`Sm::replay_stage`] before the loop
-    /// re-enters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called mid-cycle (staged memory ops not yet replayed).
+    /// not written.
     pub fn save_snap(&self, w: &mut simt_snap::SnapWriter) {
-        assert!(
-            self.staged.is_empty() && self.stage.is_empty(),
-            "checkpoint taken mid-cycle: staged ops not replayed"
-        );
         w.usize(self.warps.len());
         for warp in &self.warps {
             warp.save_snap(w);

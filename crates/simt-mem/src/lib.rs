@@ -58,9 +58,7 @@ pub use gmem::{GlobalMem, MemFault};
 pub use mshr::Mshr;
 pub use slab::{ProbeMap, TagSlab};
 pub use stats::MemStats;
-pub use system::{
-    LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind, RequestStage,
-};
+pub use system::{LaneAtomic, LockRole, MemCompletion, MemRequest, MemorySystem, ReqKind};
 
 /// Cache line size in bytes (both L1 and L2), as in the paper's Table II.
 pub const LINE_BYTES: u64 = 128;

@@ -111,45 +111,6 @@ impl MemRequest {
     }
 }
 
-/// Per-SM staging buffer of coalesced requests awaiting absorption.
-///
-/// An SM cycling on a worker thread has no access to the shared
-/// [`MemorySystem`]; it pushes each request it would have enqueued here,
-/// in issue order. The coordinator later replays the stages in SM-id
-/// order via [`MemorySystem::absorb`], reproducing the serial enqueue
-/// order exactly.
-#[derive(Debug, Default)]
-pub struct RequestStage {
-    q: VecDeque<MemRequest>,
-}
-
-impl RequestStage {
-    /// An empty stage.
-    pub fn new() -> RequestStage {
-        RequestStage::default()
-    }
-
-    /// Stage one request (FIFO).
-    pub fn push(&mut self, req: MemRequest) {
-        self.q.push_back(req);
-    }
-
-    /// Take the oldest staged request.
-    pub fn pop(&mut self) -> Option<MemRequest> {
-        self.q.pop_front()
-    }
-
-    /// Number of staged requests.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-}
-
 /// Completion of a [`MemRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemCompletion {
@@ -439,22 +400,6 @@ impl MemorySystem {
             _ => {
                 self.l1s[sm].inq.push_back((cycle, req));
             }
-        }
-    }
-
-    /// Drain up to `n` staged requests from `stage` (front first) into the
-    /// hierarchy as if each had been [`MemorySystem::enqueue`]d directly
-    /// by `sm` at `cycle`.
-    ///
-    /// This is the deterministic merge point for parallel SM execution:
-    /// each SM fills its own [`RequestStage`] while cycling on a worker
-    /// thread, and the coordinator absorbs the stages in fixed SM-id
-    /// order, so the hierarchy observes the exact request order serial
-    /// execution would have produced.
-    pub fn absorb(&mut self, sm: usize, stage: &mut RequestStage, n: usize, cycle: u64) {
-        for _ in 0..n {
-            let Some(req) = stage.pop() else { break };
-            self.enqueue(sm, req, cycle);
         }
     }
 
@@ -1206,39 +1151,6 @@ mod tests {
         let base = mem.gmem_mut().alloc(1024);
         assert_eq!(base, 0);
         mem
-    }
-
-    /// A staged request stream absorbed in order behaves exactly like
-    /// direct enqueues: same completion stream, same statistics. `absorb`
-    /// takes only the asked-for prefix and tolerates over-asking.
-    #[test]
-    fn staged_requests_absorb_like_direct_enqueues() {
-        let reqs = |tags: std::ops::Range<u64>| {
-            tags.map(|t| MemRequest::new(ReqKind::Load { bypass_l1: false }, t * 4, t))
-                .collect::<Vec<_>>()
-        };
-        let mut direct = new_mem();
-        for r in reqs(1..4) {
-            direct.enqueue(0, r, 0);
-        }
-        let mut staged = new_mem();
-        let mut stage = RequestStage::new();
-        for r in reqs(1..4) {
-            stage.push(r);
-        }
-        assert_eq!(stage.len(), 3);
-        staged.absorb(0, &mut stage, 2, 0);
-        assert_eq!(stage.len(), 1, "absorb consumes exactly the prefix");
-        staged.absorb(0, &mut stage, 5, 0);
-        assert!(stage.is_empty(), "over-asking drains and stops");
-        let (t_direct, done_direct) = run_until(&mut direct, 0, 100_000);
-        let (t_staged, done_staged) = run_until(&mut staged, 0, 100_000);
-        assert_eq!(t_direct, t_staged);
-        assert_eq!(done_direct.len(), done_staged.len());
-        for (a, b) in done_direct.iter().zip(&done_staged) {
-            assert_eq!((a.sm, a.tag), (b.sm, b.tag));
-        }
-        assert_eq!(direct.stats(), staged.stats());
     }
 
     #[test]

@@ -18,12 +18,14 @@ fn usage() -> ! {
         "usage: bows-serve [--addr HOST:PORT] [--workers N]\n\
          \x20    [--queue-cap N] [--tenant-quota N] [--max-queue-wait-ms N]\n\
          \x20    [--cache-entries N] [--max-retries N] [--attempt-deadline-ms N]\n\
-         \x20    [--sm-threads N] [--state-dir DIR] [--checkpoint-every-cycles N]\n\
+         \x20    [--state-dir DIR] [--checkpoint-every-cycles N]\n\
          \x20    [--chaos-seed N] [--chaos-panic-ppm N] [--chaos-slow-ppm N]\n\
          \x20    [--chaos-slow-ms N] [--chaos-corrupt-ppm N]\n\
          \x20    [--chaos-store-torn-ppm N] [--chaos-store-short-ppm N]\n\
          \x20    [--chaos-store-flip-ppm N]\n\
          \n\
+         Each worker runs one simulation at a time on its own thread;\n\
+         size --workers to the host's cores.\n\
          --state-dir DIR persists the result cache to an fsync'd append\n\
          log under DIR and replays it on restart (crash-safe: a torn tail\n\
          is truncated, committed entries survive SIGKILL).\n\
@@ -67,10 +69,6 @@ fn main() {
             "--attempt-deadline-ms" => {
                 cfg.pool.attempt_deadline_ms = num!(&mut args, "--attempt-deadline-ms");
             }
-            // In-run SM workers per attempt; responses are bit-identical
-            // at any value, so this never fragments the cache. Size it so
-            // workers × sm-threads stays within the host's cores.
-            "--sm-threads" => cfg.pool.sm_threads = num!(&mut args, "--sm-threads"),
             "--state-dir" => {
                 cfg.state_dir = Some(std::path::PathBuf::from(next(&mut args, "--state-dir")));
             }

@@ -382,7 +382,6 @@ fn main() {
                 backoff_cap_ms: 50,
                 attempt_deadline_ms: 1_000,
                 reap_grace_ms: 200,
-                sm_threads: 0,
                 checkpoint_every_cycles: 0,
             },
             cache_entries: 64,

@@ -50,23 +50,22 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
-            // Non-blocking accept polled every few ms, so the loop can
-            // observe the stop flag without a platform-specific shutdown.
-            let _ = listener.set_nonblocking(true);
+            // Blocking accept. `stop` sets the flag and then wakes this
+            // loop with a throwaway connection, so checking the flag after
+            // every accept is enough to observe it.
             loop {
+                let accepted = listener.accept();
                 if stop_flag.load(Ordering::Acquire) {
                     return;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
                         let _ = stream.set_nodelay(true);
                         let svc = Arc::clone(&service);
                         std::thread::spawn(move || handle_connection(stream, &svc));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
+                    // A real accept failure (EMFILE and the like) would
+                    // recur at once; back off briefly instead of spinning.
                     Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
                 }
             }

@@ -45,12 +45,6 @@ pub struct PoolConfig {
     pub attempt_deadline_ms: u64,
     /// Extra wait past the deadline before abandoning the attempt thread.
     pub reap_grace_ms: u64,
-    /// In-run SM worker threads per attempt (`0` = config default:
-    /// `BOWS_SM_THREADS`, else serial). Results are bit-identical at any
-    /// value, so this is capacity policy only — it never enters the
-    /// request's cache key. Keep `pool workers × sm_threads` within the
-    /// host's cores.
-    pub sm_threads: usize,
     /// Mid-run checkpoint cadence in *simulated* cycles (0 = off). An
     /// attempt killed by its deadline or a panic leaves its newest
     /// checkpoint in the job's slot, and the retry resumes from it instead
@@ -68,7 +62,6 @@ impl Default for PoolConfig {
             backoff_cap_ms: 500,
             attempt_deadline_ms: 10_000,
             reap_grace_ms: 500,
-            sm_threads: 0,
             checkpoint_every_cycles: 32_768,
         }
     }
@@ -159,7 +152,6 @@ pub fn execute_supervised(
         let attempt_token = token.clone();
         let attempt_req = req.clone();
         let attempt_chaos = *chaos;
-        let sm_threads = cfg.sm_threads;
         let every = cfg.checkpoint_every_cycles;
         let attempt_slot = Arc::clone(&slot);
         std::thread::spawn(move || {
@@ -173,7 +165,7 @@ pub fn execute_supervised(
                 run_request_resumable(
                     &attempt_req,
                     Some(attempt_token),
-                    sm_threads,
+                    0,
                     every,
                     Some(&attempt_slot),
                 )
@@ -241,7 +233,6 @@ mod tests {
             backoff_cap_ms: 4,
             attempt_deadline_ms: 5_000,
             reap_grace_ms: 200,
-            sm_threads: 0,
             checkpoint_every_cycles: 0,
         }
     }

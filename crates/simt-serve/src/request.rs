@@ -355,33 +355,24 @@ pub enum RunOutcome {
 /// right bytes" is checkable by construction. The optional `cancel` token
 /// bounds wall time.
 pub fn run_request(req: &SimRequest, cancel: Option<CancelToken>) -> RunOutcome {
-    run_request_with(req, cancel, 0)
+    run_request_resumable(req, cancel, 0, 0, None)
 }
 
-/// [`run_request`] with an explicit in-run SM worker count (`0` = the
-/// config default: `BOWS_SM_THREADS`, else serial).
-///
-/// `sm_threads` is deliberately *not* part of [`SimRequest`] — simulation
-/// results are bit-identical at every worker count (enforced by the
-/// determinism suite), so it is host capacity policy, not request
-/// identity, and must not fragment the response cache. The pool sets it
-/// from [`crate::PoolConfig::sm_threads`]; the loadgen oracle runs
-/// serial and still expects byte-equal bodies.
-pub fn run_request_with(req: &SimRequest, cancel: Option<CancelToken>, sm_threads: usize) -> RunOutcome {
-    run_request_resumable(req, cancel, sm_threads, 0, None)
-}
-
-/// [`run_request_with`] plus mid-run checkpointing into `slot` every
+/// [`run_request`] plus mid-run checkpointing into `slot` every
 /// `checkpoint_every` cycles (0 = off), resuming from whatever checkpoint
 /// the slot already holds. The supervised pool passes one slot across all
 /// attempts of a job; a checkpoint the simulator rejects on resume
 /// (impossible for a slot the same request filled, but this is the
 /// persistence plane — assume damage) is discarded and the attempt
 /// replays from cycle 0 rather than failing the job.
+///
+/// The third parameter is ignored. It stays only because the frozen
+/// `perfbench/` package passes it, and goes with the next benchmark
+/// change.
 pub fn run_request_resumable(
     req: &SimRequest,
     cancel: Option<CancelToken>,
-    sm_threads: usize,
+    _sm_threads: usize,
     checkpoint_every: u64,
     slot: Option<&CheckpointSlot>,
 ) -> RunOutcome {
@@ -391,7 +382,7 @@ pub fn run_request_resumable(
             .as_ref()
             .map(|(_, b)| b.clone())
     });
-    match attempt_once(req, cancel.clone(), sm_threads, checkpoint_every, slot, resume.as_deref()) {
+    match attempt_once(req, cancel.clone(), checkpoint_every, slot, resume.as_deref()) {
         Ok(out) => out,
         Err(()) => {
             // The checkpoint was rejected. Forget it (structured
@@ -400,7 +391,7 @@ pub fn run_request_resumable(
             if let Some(s) = slot {
                 *s.lock().unwrap_or_else(|p| p.into_inner()) = None;
             }
-            attempt_once(req, cancel, sm_threads, checkpoint_every, slot, None)
+            attempt_once(req, cancel, checkpoint_every, slot, None)
                 .unwrap_or(RunOutcome::Cancelled)
         }
     }
@@ -411,7 +402,6 @@ pub fn run_request_resumable(
 fn attempt_once(
     req: &SimRequest,
     cancel: Option<CancelToken>,
-    sm_threads: usize,
     checkpoint_every: u64,
     slot: Option<&CheckpointSlot>,
     resume: Option<&[u8]>,
@@ -438,9 +428,7 @@ fn attempt_once(
             return Ok(RunOutcome::SimError(body));
         }
     };
-    let mut cfg = req.gpu_config();
-    cfg.sm_threads = sm_threads;
-    let mut gpu = Gpu::new(cfg);
+    let mut gpu = Gpu::new(req.gpu_config());
     if let Some(c) = cancel {
         gpu.set_cancel_token(c);
     }
@@ -694,7 +682,7 @@ mod tests {
     #[test]
     fn resumed_run_returns_byte_identical_body() {
         let r = SimRequest::from_json(&lock_body()).unwrap();
-        let fresh = expect_ok(run_request_with(&r, None, 0));
+        let fresh = expect_ok(run_request(&r, None));
 
         // Fill the slot by running with checkpointing armed; the slot
         // keeps the newest snapshot the run produced.
@@ -722,7 +710,7 @@ mod tests {
         assert!(checkpoint_hash(&slot) != 0);
 
         let vec = SimRequest::from_json(&sample_body()).unwrap();
-        let fresh = expect_ok(run_request_with(&vec, None, 0));
+        let fresh = expect_ok(run_request(&vec, None));
         let recovered = expect_ok(run_request_resumable(&vec, None, 0, 0, Some(&slot)));
         assert_eq!(fresh, recovered, "degraded run must still be correct");
         assert_eq!(
@@ -738,7 +726,7 @@ mod tests {
         // fingerprint) take the same degradation path: discard, replay.
         let vec = SimRequest::from_json(&sample_body()).unwrap();
         let slot: CheckpointSlot = Mutex::new(Some((1, vec![0xAB; 64])));
-        let fresh = expect_ok(run_request_with(&vec, None, 0));
+        let fresh = expect_ok(run_request(&vec, None));
         let recovered = expect_ok(run_request_resumable(&vec, None, 0, 0, Some(&slot)));
         assert_eq!(fresh, recovered);
         assert_eq!(checkpoint_hash(&slot), 0);

@@ -1,6 +1,6 @@
 //! Checkpoint/resume invariance across the full 22-kernel corpus.
 //!
-//! For every workload, under both engines and every SM worker count, the
+//! For every workload, under both engines on a four-SM machine, the
 //! three-run pattern must hold stage by stage:
 //!
 //! 1. **reference** — an uninterrupted run;
@@ -25,11 +25,10 @@ struct StageOutcome {
     report: KernelReport,
 }
 
-fn config(engine: Engine, sm_threads: usize) -> GpuConfig {
+fn config(engine: Engine) -> GpuConfig {
     let mut cfg = GpuConfig::test_tiny();
     cfg.num_sms = 4;
     cfg.engine = engine;
-    cfg.sm_threads = sm_threads;
     cfg
 }
 
@@ -93,14 +92,12 @@ fn assert_stages_eq(tag: &str, a: &[StageOutcome], b: &[StageOutcome]) {
     }
 }
 
-/// The full three-run pattern for one workload under one (engine,
-/// sm_threads) cell.
+/// The full three-run pattern for one workload under one engine.
 fn check_workload(cfg: &GpuConfig, w: &dyn Workload, bows: bool) {
     let tag = format!(
-        "{} ({:?}, {} sm-threads{})",
+        "{} ({:?}{})",
         w.name(),
         cfg.engine,
-        cfg.sm_threads,
         if bows { ", bows" } else { "" }
     );
 
@@ -138,10 +135,9 @@ fn check_workload(cfg: &GpuConfig, w: &dyn Workload, bows: bool) {
 }
 
 fn sweep(suite: &[Box<dyn Workload>], engine: Engine, bows: bool) {
+    let cfg = config(engine);
     for w in suite {
-        for sm_threads in [1usize, 2, 8] {
-            check_workload(&config(engine, sm_threads), w.as_ref(), bows);
-        }
+        check_workload(&cfg, w.as_ref(), bows);
     }
 }
 

@@ -53,34 +53,35 @@ fn parallel_grid_output_is_byte_identical_to_serial() {
     }
 }
 
-/// The in-run SM worker count (`GpuConfig::sm_threads`) must be
-/// observationally invisible: a contended cell on a full 15-SM GTX480 —
-/// CTA refill, cross-SM lock traffic, BOWS back-off, and the adaptive
-/// window all active — produces bit-equal cycles, statistics, and energy
-/// at 1, 2, and 8 workers under both engines. (The 22-kernel corpus gets
-/// the same sweep in `tests/engine_equivalence.rs`; this cell is the
-/// big-machine probe.)
+/// The big-machine probe: a contended cell on a full 15-SM GTX480 — CTA
+/// refill, cross-SM lock traffic, BOWS back-off, and the adaptive window
+/// all active. SMs are cycled in id order on the run's one thread, so the
+/// observable result cannot depend on how many host threads exist; this
+/// test pins that down by requiring repeated runs on each engine, and the
+/// two engines against each other, to agree bit for bit on cycles,
+/// statistics, and energy. (The 22-kernel corpus gets the engine
+/// comparison on a 4-SM machine in `tests/engine_equivalence.rs`.)
 #[test]
 fn sm_thread_count_is_observationally_invariant() {
+    let ht = Hashtable::with_params(256, 2, 8, 64);
+    let sched = SchedConfig::bows_adaptive(BasePolicy::Gto);
+    let mut cfg = GpuConfig::gtx480();
+    cfg.engine = Engine::Cycle;
+    let reference = experiments::run(&cfg, &ht, sched).expect("reference run");
+    assert!(reference.verified.is_ok(), "reference run");
     for engine in [Engine::Cycle, Engine::Skip] {
-        let mut cfg = GpuConfig::gtx480();
         cfg.engine = engine;
-        cfg.sm_threads = 1;
-        let ht = Hashtable::with_params(256, 2, 8, 64);
-        let sched = SchedConfig::bows_adaptive(BasePolicy::Gto);
-        let reference = experiments::run(&cfg, &ht, sched).expect("serial run");
-        assert!(reference.verified.is_ok(), "{engine:?}");
-        for threads in [2usize, 8] {
-            cfg.sm_threads = threads;
-            let run = experiments::run(&cfg, &ht, sched).expect("parallel run");
-            assert!(run.verified.is_ok(), "{engine:?} at {threads} sm-threads");
-            assert_eq!(run.cycles, reference.cycles, "{engine:?} at {threads} sm-threads");
-            assert_eq!(run.sim, reference.sim, "{engine:?} at {threads} sm-threads");
-            assert_eq!(run.mem, reference.mem, "{engine:?} at {threads} sm-threads");
+        for rep in 0..2 {
+            let run = experiments::run(&cfg, &ht, sched).expect("probe run");
+            let at = format!("{engine:?} run {rep}");
+            assert!(run.verified.is_ok(), "{at}");
+            assert_eq!(run.cycles, reference.cycles, "{at}");
+            assert_eq!(run.sim, reference.sim, "{at}");
+            assert_eq!(run.mem, reference.mem, "{at}");
             assert_eq!(
                 run.dynamic_j.to_bits(),
                 reference.dynamic_j.to_bits(),
-                "{engine:?} at {threads} sm-threads"
+                "{at}"
             );
         }
     }
@@ -101,10 +102,8 @@ fn repeated_runs_are_bit_equal() {
         let b = experiments::run(&cfg, &ht, sched).expect("second run");
         assert!(a.verified.is_ok() && b.verified.is_ok(), "{engine:?}");
         assert_eq!(a.cycles, b.cycles, "{engine:?}");
-        assert_eq!(a.sim.thread_inst, b.sim.thread_inst, "{engine:?}");
-        assert_eq!(a.mem.lock_success, b.mem.lock_success, "{engine:?}");
-        assert_eq!(a.mem.lock_inter_fail, b.mem.lock_inter_fail, "{engine:?}");
-        assert_eq!(a.mem.l1_hits, b.mem.l1_hits, "{engine:?}");
+        assert_eq!(a.sim, b.sim, "{engine:?}");
+        assert_eq!(a.mem, b.mem, "{engine:?}");
         assert_eq!(a.dynamic_j.to_bits(), b.dynamic_j.to_bits(), "{engine:?}");
     }
 }

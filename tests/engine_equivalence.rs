@@ -62,51 +62,37 @@ fn captured(cfg: &GpuConfig, w: &dyn Workload, cell: Cell) -> CapturedRun {
     res.unwrap_or_else(|e| panic!("{} under {}: {e:?}", w.name(), cell.label()))
 }
 
-/// Assert every (engine × SM-worker-count) run of one cell is
-/// indistinguishable from the serial cycle-engine run: same cycle count,
-/// bit-equal statistics, byte-identical final memory. The worker count is
-/// a per-run `GpuConfig` knob, so the matrix needs no process-global
-/// state; 8 workers clamps to `num_sms` and exercises the
-/// one-SM-per-chunk extreme.
+/// Assert the skip-engine run of one cell is indistinguishable from the
+/// cycle-engine run: same cycle count, bit-equal statistics,
+/// byte-identical final memory.
 fn check_cell(base_cfg: &GpuConfig, w: &dyn Workload, cell: Cell) {
     let mut cfg = base_cfg.clone();
     if let Some((seed, level)) = cell.chaos {
         cfg.mem.chaos = ChaosConfig::with_level(seed, level);
     }
     cfg.engine = Engine::Cycle;
-    cfg.sm_threads = 1;
     let reference = captured(&cfg, w, cell);
-    let tag = format!("{} under {}", w.name(), cell.label());
-    for threads in [1usize, 2, 8] {
-        for engine in [Engine::Cycle, Engine::Skip] {
-            if threads == 1 && engine == Engine::Cycle {
-                continue;
-            }
-            cfg.engine = engine;
-            cfg.sm_threads = threads;
-            let run = captured(&cfg, w, cell);
-            let at = format!("{tag} ({engine:?}, {threads} sm-threads)");
-            assert_eq!(run.result.cycles, reference.result.cycles, "cycles diverge: {at}");
-            assert_eq!(run.result.sim, reference.result.sim, "SimStats diverge: {at}");
-            assert_eq!(run.result.mem, reference.result.mem, "MemStats diverge: {at}");
-            if let Some(addr) = reference.gmem.first_diff(&run.gmem) {
-                panic!(
-                    "final memory diverges at {addr:#x}: {at} \
-                     (reference={:#x}, run={:#x})",
-                    reference.gmem.read_u32(addr),
-                    run.gmem.read_u32(addr)
-                );
-            }
-            assert_eq!(reference.gmem.image(), run.gmem.image(), "memory image: {at}");
-        }
+    cfg.engine = Engine::Skip;
+    let run = captured(&cfg, w, cell);
+    let at = format!("{} under {}", w.name(), cell.label());
+    assert_eq!(run.result.cycles, reference.result.cycles, "cycles diverge: {at}");
+    assert_eq!(run.result.sim, reference.result.sim, "SimStats diverge: {at}");
+    assert_eq!(run.result.mem, reference.result.mem, "MemStats diverge: {at}");
+    if let Some(addr) = reference.gmem.first_diff(&run.gmem) {
+        panic!(
+            "final memory diverges at {addr:#x}: {at} \
+             (reference={:#x}, run={:#x})",
+            reference.gmem.read_u32(addr),
+            run.gmem.read_u32(addr)
+        );
     }
+    assert_eq!(reference.gmem.image(), run.gmem.image(), "memory image: {at}");
 }
 
 /// Sweep every workload of `suite` through {BOWS off, adaptive} ×
 /// {chaos off, seeded} under one base policy. Four SMs (rather than
-/// `test_tiny`'s one) so CTAs actually spread across SMs and the
-/// multi-worker runs exercise cross-SM staging, replay order, and CTA
-/// refill.
+/// `test_tiny`'s one) so CTAs actually spread across SMs and the runs
+/// exercise cross-SM request order and CTA refill.
 fn sweep(base: BasePolicy, suite: &[Box<dyn Workload>]) {
     let mut cfg = GpuConfig::test_tiny();
     cfg.num_sms = 4;
@@ -158,14 +144,12 @@ fn cawa_rodinia_suite_engines_agree() {
 // deadline, exercising the `idle_since + watchdog_cycles` clamp).
 // ---------------------------------------------------------------------
 
-/// Run a hang fixture under one engine at one SM worker count and return
-/// its diagnosis. Four CTAs on four SMs: every SM hosts a stuck warp, so
-/// hang attribution is contested and must resolve to the explicit
-/// lexicographically-least `(sm, warp)` pair regardless of engine or
-/// worker count.
+/// Run a hang fixture under one engine and return its diagnosis. Four
+/// CTAs on four SMs: every SM hosts a stuck warp, so hang attribution is
+/// contested and must resolve to the explicit lexicographically-least
+/// `(sm, warp)` pair regardless of engine.
 fn hang_under(
     engine: Engine,
-    sm_threads: usize,
     blocking_locks: bool,
     src: &str,
     flag_init: u32,
@@ -174,7 +158,6 @@ fn hang_under(
     let mut cfg = GpuConfig::test_tiny();
     cfg.num_sms = 4;
     cfg.engine = engine;
-    cfg.sm_threads = sm_threads;
     cfg.blocking_locks = blocking_locks;
     cfg.watchdog_cycles = 5_000;
     cfg.max_cycles = 100_000;
@@ -194,27 +177,13 @@ fn hang_under(
 
 /// Assert one hang fixture diagnoses identically — same class, same
 /// cycle, bit-equal report (including the starving `(sm, warp)` winner
-/// and the warp-snapshot order) — under both engines and every SM worker
-/// count.
+/// and the warp-snapshot order) — under both engines.
 fn check_hang(blocking_locks: bool, src: &str, flag_init: u32, class: HangClass) {
-    let (ref_at, ref_report) = hang_under(Engine::Cycle, 1, blocking_locks, src, flag_init);
+    let (ref_at, ref_report) = hang_under(Engine::Cycle, blocking_locks, src, flag_init);
     assert_eq!(ref_report.class, class);
-    for threads in [1usize, 2, 8] {
-        for engine in [Engine::Cycle, Engine::Skip] {
-            if threads == 1 && engine == Engine::Cycle {
-                continue;
-            }
-            let (at, report) = hang_under(engine, threads, blocking_locks, src, flag_init);
-            assert_eq!(
-                at, ref_at,
-                "{class:?} diagnosed at different cycles ({engine:?}, {threads} sm-threads)"
-            );
-            assert_eq!(
-                report, ref_report,
-                "{class:?} reports diverge ({engine:?}, {threads} sm-threads)"
-            );
-        }
-    }
+    let (at, report) = hang_under(Engine::Skip, blocking_locks, src, flag_init);
+    assert_eq!(at, ref_at, "{class:?} diagnosed at different cycles (Skip)");
+    assert_eq!(report, ref_report, "{class:?} reports diverge (Skip)");
 }
 
 #[test]
@@ -239,8 +208,7 @@ fn global_deadlock_diagnosed_identically() {
     // Every lane tries to acquire a lock that is pre-held and never
     // released: under blocking locks every warp parks forever, the
     // memory system goes quiescent, and the idle watchdog must fire at
-    // exactly `idle_since + watchdog_cycles` in both engines at every
-    // worker count.
+    // exactly `idle_since + watchdog_cycles` in both engines.
     let src = r#"
         .kernel dead
         .regs 8
