@@ -1,10 +1,13 @@
-//! `fuzz`: seeded random-kernel fuzzer for the differential oracle.
+//! `fuzz`: seeded random-kernel fuzzer for the differential oracle and
+//! the simulator's engine-equivalence invariant.
 //!
 //! Deterministically generates a window of structured kernels starting at
 //! `--seed` (`--scale` picks 500/5 000/20 000 seeds; `--count` overrides
 //! exactly), runs each through the reference interpreter and the
-//! cycle-level simulator under a seed-derived scheduler/chaos cell, and
-//! reports any divergence. Diverging kernels are shrunk to a minimal
+//! cycle-level simulator under a seed-derived scheduler/chaos cell, runs
+//! that cell under both simulator engines (`Engine::Skip` and
+//! `Engine::Cycle` must agree on cycles, statistics, final memory, or the
+//! error), and reports any divergence. Diverging kernels are shrunk to a minimal
 //! reproducer; with `--emit <dir>` the shrunken kernel is written as a
 //! committable `.s` fixture whose `expect` directive records the observed
 //! divergence kind.

@@ -15,10 +15,14 @@
 //! A mismatch produces a structured [`DivergenceReport`]: the first
 //! differing address or register, the warp that last wrote it, and the
 //! kernel source line of that write.
+//!
+//! [`check_engines`] checks one more invariant, inside the simulator: a
+//! cell run under `Engine::Skip` and under `Engine::Cycle` must agree on
+//! cycles, statistics, final memory, or the error.
 
 use crate::{grid, SchedConfig};
 use bows::HashKind;
-use simt_core::{BasePolicy, GpuConfig, SimError};
+use simt_core::{BasePolicy, Engine, GpuConfig, SimError};
 use simt_isa::Kernel;
 use simt_mem::ChaosConfig;
 use simt_ref::{run_ref, RefCta, RefError, RefLaunch, Writer};
@@ -238,6 +242,11 @@ pub enum Divergence {
         /// The simulator error, rendered.
         error: String,
     },
+    /// The simulator's Skip and Cycle engines disagree on one cell.
+    Engine {
+        /// The first differing observable, rendered.
+        what: String,
+    },
 }
 
 impl Divergence {
@@ -251,6 +260,7 @@ impl Divergence {
             Divergence::Postcondition { .. } => "postcondition",
             Divergence::RefFailed { .. } => "ref-failed",
             Divergence::SimFailed { .. } => "sim-failed",
+            Divergence::Engine { .. } => "engine",
         }
     }
 }
@@ -328,6 +338,7 @@ impl fmt::Display for DivergenceReport {
             }
             Divergence::RefFailed { error } => write!(f, "reference failed: {error}")?,
             Divergence::SimFailed { error } => write!(f, "simulator failed: {error}")?,
+            Divergence::Engine { what } => write!(f, "engines disagree: {what}")?,
         }
         if let (Some(k), Some(l)) = (&self.kernel, self.line) {
             write!(f, " at {k}:{l}")?;
@@ -634,6 +645,52 @@ pub fn check_cell(
             Ok(sim) => compare(name, &config, r, &sim, !workload.is_sync()),
         },
     }
+}
+
+/// Check engine equivalence on one cell: run it under `Engine::Skip` and
+/// `Engine::Cycle` and compare cycles, `SimStats`, `MemStats` and final
+/// memory, or the two errors. `None` when the engines agree.
+pub fn check_engines(
+    base_cfg: &GpuConfig,
+    workload: &dyn Workload,
+    cell: &DifferCell,
+) -> Option<DivergenceReport> {
+    let run = |engine| {
+        let mut cfg = base_cfg.clone();
+        cfg.engine = engine;
+        run_sim_cell(&cfg, workload, cell)
+    };
+    let what = match (run(Engine::Skip), run(Engine::Cycle)) {
+        (Ok(skip), Ok(cycle)) => {
+            let (s, c) = (&skip.result, &cycle.result);
+            if s.cycles != c.cycles {
+                format!("cycles: skip {} vs cycle {}", s.cycles, c.cycles)
+            } else if s.sim != c.sim {
+                format!("SimStats: skip {:?} vs cycle {:?}", s.sim, c.sim)
+            } else if s.mem != c.mem {
+                format!("MemStats: skip {:?} vs cycle {:?}", s.mem, c.mem)
+            } else {
+                let addr = skip.gmem.first_diff(&cycle.gmem)?;
+                let (sv, cv) = (word_at(&skip.gmem, addr), word_at(&cycle.gmem, addr));
+                format!("memory[{addr:#x}]: skip {sv:#x} vs cycle {cv:#x}")
+            }
+        }
+        (Err(skip), Err(cycle)) if skip == cycle => return None,
+        (skip, cycle) => {
+            let show = |r: Result<CapturedRun, SimError>| match r {
+                Ok(run) => format!("completed in {} cycles", run.result.cycles),
+                Err(e) => e.to_string(),
+            };
+            format!("skip {} vs cycle {}", show(skip), show(cycle))
+        }
+    };
+    Some(DivergenceReport {
+        workload: workload.name().to_string(),
+        config: cell.label(),
+        divergence: Divergence::Engine { what },
+        kernel: None,
+        line: None,
+    })
 }
 
 /// Differentially check a whole suite against a matrix: the reference runs

@@ -23,7 +23,8 @@
 //! ;; differ: chaos 42 2                ; run the simulator under chaos
 //! ;; differ: post lock[0] == 0         ; postcondition on final memory
 //! ;; differ: expect memory             ; agree | memory | register |
-//! ;;                                   ; postcondition | ref-failed | ...
+//! ;;                                   ; postcondition | ref-failed |
+//! ;;                                   ; sim-failed | engine | ...
 //! ```
 //!
 //! Declaring any `post` switches the fixture from bytewise ([`Equivalence::Exact`])
@@ -32,7 +33,7 @@
 //!
 //! [`Equivalence::Exact`]: workloads::Equivalence::Exact
 
-use crate::differ::{check_cell, run_reference, DifferCell, DivergenceReport};
+use crate::differ::{check_cell, check_engines, run_reference, DifferCell, DivergenceReport};
 use crate::SchedConfig;
 use simt_core::{BasePolicy, Gpu, GpuConfig, LaunchSpec};
 use simt_isa::asm::assemble;
@@ -268,7 +269,7 @@ fn parse_directive(f: &mut Fixture, d: &str) -> Result<(), String> {
         }
         "expect" => {
             let [kind] = toks.as_slice() else { return Err("want `expect <kind>`".into()) };
-            const KINDS: [&str; 8] = [
+            const KINDS: [&str; 9] = [
                 "agree",
                 "memory",
                 "register",
@@ -277,6 +278,7 @@ fn parse_directive(f: &mut Fixture, d: &str) -> Result<(), String> {
                 "postcondition",
                 "ref-failed",
                 "sim-failed",
+                "engine",
             ];
             if !KINDS.contains(kind) {
                 return Err(format!("unknown expectation `{kind}`"));
@@ -416,6 +418,7 @@ pub fn check_fixture(
     let cell = fixture.cell();
     let reference = run_reference(&cfg, &fixture, fuel);
     let mut reports = check_cell(&cfg, &fixture, &cell, &reference);
+    reports.extend(check_engines(&cfg, &fixture, &cell));
     for r in &mut reports {
         r.workload = fixture.name.clone();
     }

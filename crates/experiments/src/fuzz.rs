@@ -1,10 +1,13 @@
-//! Seeded random-kernel fuzzer for the differential oracle.
+//! Seeded random-kernel fuzzer for the differential oracle and the
+//! simulator's engine-equivalence invariant.
 //!
 //! Generates structured, guaranteed-terminating kernels (bounded loops,
 //! nested divergence, uniform barriers, thread-private stores, commutative
 //! atomics), filters them through `simt-analyze`'s lints, then runs each
 //! through both the reference interpreter and the cycle-level simulator
-//! under a seed-derived scheduler/chaos configuration. Every generated
+//! under a seed-derived scheduler/chaos configuration, and runs the
+//! simulator cell again under `Engine::Cycle` to compare it with the
+//! default `Engine::Skip` run (an `engine` divergence). Every generated
 //! kernel's final memory *and* registers are schedule-independent by
 //! construction:
 //!
@@ -17,7 +20,8 @@
 //!   and the (schedule-dependent) old value returned in the destination
 //!   register is immediately overwritten with zero.
 //!
-//! So *any* divergence between the engines is a bug (or a seeded chaos
+//! So *any* divergence between the reference and the simulator, or
+//! between the simulator's two engines, is a bug (or a seeded chaos
 //! fixture). On divergence the kernel shrinks automatically: structural
 //! mutations (drop a node, unwrap a loop/if body, reduce trip counts,
 //! shrink the launch) are applied while the divergence kind persists,
@@ -26,7 +30,7 @@
 //! Everything is deterministic in the root seed: generation, the
 //! simulator configuration drawn per kernel, and shrinking order.
 
-use crate::differ::{check_cell, DifferCell, DivergenceReport, CHAOS_POINTS};
+use crate::differ::{check_cell, check_engines, DifferCell, DivergenceReport, CHAOS_POINTS};
 use crate::SchedConfig;
 use simt_analyze::analyze_insts;
 use simt_core::{BasePolicy, Gpu, GpuConfig, LaunchSpec};
@@ -562,7 +566,8 @@ pub fn run_seed(base_cfg: &GpuConfig, seed: u64, fuel: u64) -> Option<FuzzCase> 
     Some(case)
 }
 
-/// Differentially check one structured kernel (shared by fuzzing and
+/// Differentially check one structured kernel against the reference, and
+/// the simulator's two engines against each other (shared by fuzzing and
 /// shrinking). `None` = rejected by the lint filter or unassemblable.
 fn check_kernel(base_cfg: &GpuConfig, fk: &FuzzKernel, fuel: u64) -> Option<FuzzCase> {
     let kernel = fk.assemble().ok()?;
@@ -580,6 +585,7 @@ fn check_kernel(base_cfg: &GpuConfig, fk: &FuzzKernel, fuel: u64) -> Option<Fuzz
     let cell = fk.cell();
     let reference = crate::differ::run_reference(base_cfg, &w, fuel);
     let mut reports = check_cell(base_cfg, &w, &cell, &reference);
+    reports.extend(check_engines(base_cfg, &w, &cell));
     for r in &mut reports {
         r.workload = format!("fuzz[seed={}]", fk.seed);
     }

@@ -286,9 +286,10 @@ impl Gpu {
     }
 
     /// Arm a cancellation token for subsequent runs. The token is polled
-    /// at forward-progress-scan boundaries (every [`SCAN_PERIOD`] cycles),
-    /// so a fired token stops the run within microseconds of real time
-    /// while costing nothing on the per-cycle hot path.
+    /// at forward-progress-scan boundaries (every [`SCAN_PERIOD`] cycles,
+    /// which are deadlines the Skip engine never jumps past), so a fired
+    /// token stops the run within microseconds of real time while costing
+    /// nothing on the per-cycle hot path.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -443,11 +444,11 @@ impl Gpu {
             0
         };
 
-        let rs = if let Some(body) = ctl.as_ref().and_then(|c| c.resume) {
+        let mut rs = if let Some(body) = ctl.as_ref().and_then(|c| c.resume) {
             // Resume replaces the initial dispatch wholesale: warp slots,
-            // CTA residency, the pending-CTA queue, and every run-loop
-            // local come from the snapshot. Device memory is restored last
-            // and atomically, so a failed resume leaves the GPU usable.
+            // CTA residency, the pending-CTA queue, and the run state come
+            // from the snapshot. Device memory is restored last and
+            // atomically, so a failed resume leaves the GPU usable.
             restore_snapshot(
                 body,
                 fingerprint,
@@ -475,30 +476,16 @@ impl Gpu {
                 now: 0,
                 pending,
                 age_counter,
-                // Run-level statistics; every SM accrues straight into them.
                 stats: SimStats::default(),
                 idle_since: 0,
                 remaining: launch.grid_ctas,
-                // Spin-livelock persistence: the first cycle at which every
-                // live warp was spinning-or-blocked with zero lock progress,
-                // or `None` while the machine is making progress.
                 livelock_since: None,
                 locks_at_scan: mem_before.lock_success,
                 mem_before,
             }
         };
         let start_cycle = rs.now;
-        let RunState {
-            mut now,
-            mut pending,
-            mut age_counter,
-            mut stats,
-            mut idle_since,
-            mut remaining,
-            mut livelock_since,
-            mut locks_at_scan,
-            mem_before,
-        } = rs;
+        let every = ctl.as_ref().map_or(0, |c| c.every);
         // Reusable completion sink: the cycle loop never allocates for the
         // common zero-or-few-completions case.
         let mut completions = Vec::new();
@@ -511,29 +498,14 @@ impl Gpu {
         let mut prof_mem_ns = 0u64;
         let mut prof_skip_ns = 0u64;
 
-        while remaining > 0 {
+        while rs.remaining > 0 {
+            let now = rs.now;
             // Checkpoint boundary: the machine is between cycles, so the
             // snapshot is simply "about to simulate cycle `now`".
-            if let Some(c) = ctl.as_mut() {
-                if c.every > 0 && now > start_cycle && now.is_multiple_of(c.every) {
-                    let state = RunState {
-                        now,
-                        pending: pending.clone(),
-                        age_counter,
-                        stats: stats.clone(),
-                        idle_since,
-                        remaining,
-                        livelock_since,
-                        locks_at_scan,
-                        mem_before,
-                    };
-                    let body = snapshot_body(
-                        fingerprint,
-                        (scheduler_name.as_str(), detector_name.as_str()),
-                        &state,
-                        &sms,
-                        &self.mem,
-                    );
+            if every > 0 && now > start_cycle && now.is_multiple_of(every) {
+                if let Some(c) = ctl.as_mut() {
+                    let names = (scheduler_name.as_str(), detector_name.as_str());
+                    let body = snapshot_body(fingerprint, names, &rs, &sms, &self.mem);
                     (c.sink)(now, &body);
                 }
             }
@@ -554,177 +526,90 @@ impl Gpu {
             let mut finished = 0u32;
             for sm in &mut sms {
                 if sm.has_work() {
-                    let r = sm.cycle(now, &lctx, &mut self.mem, &mut stats)?;
+                    let r = sm.cycle(now, &lctx, &mut self.mem, &mut rs.stats)?;
                     issued_any |= r.issued > 0;
                     finished += r.ctas_finished;
                 }
             }
             if finished > 0 {
-                remaining -= finished as usize;
+                rs.remaining -= finished as usize;
                 // Refill SMs that just freed resources.
-                dispatch_pending(&mut sms, &mut pending, &lctx, &mut age_counter);
+                dispatch_pending(&mut sms, &mut rs.pending, &lctx, &mut rs.age_counter);
             }
             if issued_any {
-                stats.busy_cycles += 1;
-                idle_since = now + 1;
-            } else if self.mem.quiescent() && now - idle_since >= self.cfg.watchdog_cycles {
-                // Nothing can ever issue again: classic SIMT deadlock.
-                return Err(hang_error(
-                    &self.mem,
-                    HangClass::GlobalDeadlock,
-                    now,
-                    &sms,
-                    &scheduler_name,
-                ));
+                rs.stats.busy_cycles += 1;
+                rs.idle_since = now + 1;
             }
 
-            // Cooperative cancellation, polled on the same cadence as the
-            // forward-progress scan (Skip-engine horizons are clamped to
-            // SCAN_PERIOD boundaries, so dead spans cannot outrun it).
-            if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
+            // Duties at `now`: the idle watchdog (nothing can ever issue
+            // again: classic SIMT deadlock), then on scan cycles the
+            // cooperative-cancel poll and the forward-progress scan. The
+            // cancel poll runs even on the cycle the grid completes.
+            let mut hang = None;
+            if !issued_any
+                && self.mem.quiescent()
+                && now - rs.idle_since >= self.cfg.watchdog_cycles
+            {
+                hang = Some(HangClass::GlobalDeadlock);
+            } else if now.is_multiple_of(SCAN_PERIOD) && now > 0 {
                 if let Some(cause) = self.cancel.as_ref().and_then(CancelToken::fired) {
                     return Err(SimError::Cancelled { cycle: now, cause });
                 }
-            }
-
-            // Periodic forward-progress scan: catches hangs where warps
-            // keep issuing (spin livelock) or where one warp silently
-            // starves while the rest of the machine stays busy.
-            if now.is_multiple_of(SCAN_PERIOD) && now > 0 && remaining > 0 {
-                let mut agg = ProgressScan::default();
-                let mut starved: Option<(usize, usize)> = None;
-                let mut backoff_starved: Option<(usize, usize)> = None;
-                for (id, sm) in sms.iter().enumerate() {
-                    let s = sm.scan_progress(
-                        now,
-                        self.cfg.watchdog_cycles,
-                        self.cfg.backoff_starvation_cycles,
-                    );
-                    agg.live += s.live;
-                    agg.spinning += s.spinning;
-                    agg.spinning_or_blocked += s.spinning_or_blocked;
-                    // The winner is the explicit lexicographic minimum
-                    // `(sm, warp)` pair, so hang attribution cannot depend
-                    // on the order SMs happened to be visited.
-                    if let Some(w) = s.backoff_starved {
-                        let cand = (id, w);
-                        if backoff_starved.is_none_or(|b| cand < b) {
-                            backoff_starved = Some(cand);
-                        }
-                    }
-                    if let Some(w) = s.starved {
-                        let cand = (id, w);
-                        if starved.is_none_or(|b| cand < b) {
-                            starved = Some(cand);
-                        }
-                    }
-                }
-                let locks_now = self.mem.stats().lock_success;
-                let lock_delta = locks_now - locks_at_scan;
-                locks_at_scan = locks_now;
-                if let Some((sm, warp)) = backoff_starved {
-                    let class = HangClass::BackoffStarvation { sm, warp };
-                    return Err(hang_error(&self.mem, class, now, &sms, &scheduler_name));
-                }
-                if let Some((sm, warp)) = starved {
-                    let class = HangClass::Starvation { sm, warp };
-                    return Err(hang_error(&self.mem, class, now, &sms, &scheduler_name));
-                }
-                let stalled = agg.live > 0
-                    && agg.spinning > 0
-                    && agg.spinning_or_blocked == agg.live
-                    && lock_delta == 0;
-                if stalled {
-                    let since = *livelock_since.get_or_insert(now);
-                    if now - since >= self.cfg.watchdog_cycles {
-                        let class = HangClass::SpinLivelock;
-                        return Err(hang_error(&self.mem, class, now, &sms, &scheduler_name));
-                    }
-                } else {
-                    livelock_since = None;
+                if rs.remaining > 0 {
+                    hang = progress_scan(&mut rs, &sms, &self.mem, &self.cfg);
                 }
             }
 
-            // Event-horizon fast-forward. A cycle in which no unit issued
-            // and no CTA retired leaves the whole machine in a state that
-            // cannot change until (a) the memory system delivers or serves
-            // something, or (b) an SM's own timers fire (writeback wheel,
-            // BOWS back-off expiry, adaptive-window update). Jump straight
-            // to that horizon, bulk-accruing the skipped cycles' stall
-            // statistics. Clamps keep every externally observable
-            // transition on its cycle-engine schedule: forward-progress
-            // scans stay on SCAN_PERIOD boundaries, GTO age rotation is
-            // observed at each rotation edge, the global-deadlock watchdog
-            // fires at exactly `idle_since + watchdog_cycles`, and the
-            // cycle limit trips at exactly `max_cycles`.
-            let mut next = now + 1;
-            if skip && !issued_any && finished == 0 {
-                let t = profile.then(std::time::Instant::now);
-                let mut horizon = u64::MAX;
-                if let Some(t) = self.mem.next_event(now) {
-                    horizon = horizon.min(t);
-                }
-                for sm in &sms {
-                    if sm.has_work() {
+            if hang.is_none() {
+                // Event-horizon fast-forward. A cycle in which no unit
+                // issued and no CTA retired leaves the machine in a state
+                // that cannot change until the memory system delivers or
+                // serves something, an SM's own timer fires (writeback
+                // wheel, BOWS back-off expiry, adaptive-window update), or
+                // a run-loop duty is due. Jump straight to the earliest of
+                // those, bulk-accruing the skipped cycles' statistics.
+                let mut next = now + 1;
+                if skip && !issued_any && finished == 0 {
+                    let t = profile.then(std::time::Instant::now);
+                    let quiescent = self.mem.quiescent();
+                    let mut horizon = next_deadline(&rs, &self.cfg, every, quiescent);
+                    if let Some(t) = self.mem.next_event(now) {
+                        horizon = horizon.min(t);
+                    }
+                    for sm in sms.iter().filter(|sm| sm.has_work()) {
                         if let Some(t) = sm.next_ready_cycle(now) {
                             horizon = horizon.min(t);
                         }
                     }
-                }
-                horizon = horizon.min((now / SCAN_PERIOD + 1) * SCAN_PERIOD);
-                let rotate = self.cfg.gto_rotate_period.max(1);
-                horizon = horizon.min((now / rotate + 1) * rotate);
-                // Checkpoint boundaries are kept as explicit cycles. Safe
-                // by the engine-equivalence invariant: a span is only
-                // skippable when every cycle in it changes nothing, so
-                // landing on the boundary and continuing is bit-identical
-                // to jumping over it.
-                if let Some(c) = &ctl {
-                    // checked_div: None when checkpointing is off
-                    // (every == 0), so no boundary clamps the horizon.
-                    if let Some(q) = now.checked_div(c.every) {
-                        horizon = horizon.min((q + 1) * c.every);
-                    }
-                }
-                if self.mem.quiescent() {
-                    // Quiescence cannot end inside a dead span, so the
-                    // deadlock deadline is a hard horizon bound.
-                    horizon = horizon.min(idle_since + self.cfg.watchdog_cycles);
-                }
-                if self.cfg.max_cycles > 0 {
-                    horizon = horizon.min(self.cfg.max_cycles);
-                }
-                if horizon > next {
-                    let span = horizon - next;
-                    for sm in &mut sms {
-                        if sm.has_work() {
-                            sm.fast_forward(now, span, &mut stats);
+                    if horizon > next {
+                        for sm in sms.iter_mut().filter(|sm| sm.has_work()) {
+                            sm.fast_forward(now, horizon - next, &mut rs.stats);
                         }
+                        next = horizon;
                     }
-                    next = horizon;
+                    if let Some(t) = t {
+                        prof_skip_ns += t.elapsed().as_nanos() as u64;
+                    }
                 }
-                if let Some(t) = t {
-                    prof_skip_ns += t.elapsed().as_nanos() as u64;
+                rs.now = next;
+                if self.cfg.max_cycles > 0 && rs.now >= self.cfg.max_cycles {
+                    hang = Some(HangClass::CycleLimit);
                 }
             }
-            now = next;
-            if self.cfg.max_cycles > 0 && now >= self.cfg.max_cycles {
-                return Err(hang_error(
-                    &self.mem,
-                    HangClass::CycleLimit,
-                    now,
-                    &sms,
-                    &scheduler_name,
-                ));
+            if let Some(class) = hang {
+                return Err(hang_error(&self.mem, class, rs.now, &sms, &scheduler_name));
             }
         }
 
-        stats.cycles = now;
-        let mut mem_stats = *self.mem.stats();
-        mem_stats = delta(&mem_stats, &mem_before);
-        let energy =
-            self.energy_model
-                .evaluate(&stats, &mem_stats, self.cfg.num_sms, self.cfg.core_clock_mhz);
+        let now = rs.now;
+        rs.stats.cycles = now;
+        let mem_stats = delta(self.mem.stats(), &rs.mem_before);
+        let energy = self.energy_model.evaluate(
+            &rs.stats,
+            &mem_stats,
+            self.cfg.num_sms,
+            self.cfg.core_clock_mhz,
+        );
         let mut branch_log = BranchLog::default();
         let mut confirmed: Vec<(usize, u64)> = Vec::new();
         for sm in &sms {
@@ -767,7 +652,7 @@ impl Gpu {
         });
         Ok(KernelReport {
             cycles: now,
-            sim: stats,
+            sim: rs.stats,
             mem: mem_stats,
             energy,
             confirmed_sibs: confirmed,
@@ -781,19 +666,84 @@ impl Gpu {
     }
 }
 
-/// The run loop's own locals — everything outside the SMs and the memory
-/// system that a checkpoint must carry. `now` is the cycle about to be
-/// simulated.
+/// The run loop's state — everything outside the SMs and the memory
+/// system that a checkpoint must carry. The loop mutates it in place and
+/// [`snapshot_body`] reads it by reference.
 struct RunState {
+    /// The cycle about to be simulated.
     now: u64,
+    /// CTAs not yet dispatched, oldest first.
     pending: VecDeque<usize>,
     age_counter: u64,
+    /// Run-level statistics; every SM accrues straight into them.
     stats: SimStats,
+    /// The cycle after the last one in which any unit issued.
     idle_since: u64,
+    /// CTAs not yet retired.
     remaining: usize,
+    /// Spin-livelock persistence: the first scan at which every live warp
+    /// was spinning-or-blocked with zero lock progress, or `None` while
+    /// the machine is making progress.
     livelock_since: Option<u64>,
+    /// `lock_success` at the previous progress scan.
     locks_at_scan: u64,
+    /// Memory statistics at launch (reports are deltas over the run).
     mem_before: MemStats,
+}
+
+/// The earliest periodic duty after `rs.now`: the next progress scan, the
+/// next checkpoint boundary (`every > 0`), the idle watchdog's deadline
+/// while memory is `quiescent` (quiescence cannot end inside a dead span),
+/// and the cycle limit. A pure function of its arguments, so a resumed run
+/// rebuilds the same deadlines. GTO's age rotation is not a deadline:
+/// `Gto` ranks warps lazily in `pick` from `now`, and no `pick` runs in a
+/// dead span.
+fn next_deadline(rs: &RunState, cfg: &GpuConfig, every: u64, quiescent: bool) -> u64 {
+    let mut deadline = (rs.now / SCAN_PERIOD + 1) * SCAN_PERIOD;
+    if let Some(q) = rs.now.checked_div(every) {
+        deadline = deadline.min((q + 1) * every);
+    }
+    if quiescent {
+        deadline = deadline.min(rs.idle_since + cfg.watchdog_cycles);
+    }
+    if cfg.max_cycles > 0 {
+        deadline = deadline.min(cfg.max_cycles);
+    }
+    deadline
+}
+
+/// The periodic forward-progress scan at `rs.now`: catches hangs where
+/// warps keep issuing (spin livelock) or where one warp starves while the
+/// rest of the machine stays busy.
+fn progress_scan(
+    rs: &mut RunState,
+    sms: &[Sm],
+    mem: &MemorySystem,
+    cfg: &GpuConfig,
+) -> Option<HangClass> {
+    let mut scan = ProgressScan::default();
+    for sm in sms {
+        sm.scan_progress(rs.now, cfg, &mut scan);
+    }
+    let locks_now = mem.stats().lock_success;
+    let lock_delta = locks_now - rs.locks_at_scan;
+    rs.locks_at_scan = locks_now;
+    if let Some((sm, warp)) = scan.backoff_starved {
+        return Some(HangClass::BackoffStarvation { sm, warp });
+    }
+    if let Some((sm, warp)) = scan.starved {
+        return Some(HangClass::Starvation { sm, warp });
+    }
+    let stalled = scan.live > 0
+        && scan.spinning > 0
+        && scan.spinning_or_blocked == scan.live
+        && lock_delta == 0;
+    if !stalled {
+        rs.livelock_since = None;
+        return None;
+    }
+    let since = *rs.livelock_since.get_or_insert(rs.now);
+    (rs.now - since >= cfg.watchdog_cycles).then_some(HangClass::SpinLivelock)
 }
 
 /// Stable identity of (config, kernel, launch): a snapshot resumes only
@@ -933,13 +883,17 @@ fn restore_snapshot(
         }
         pending.push_back(cta);
     }
-    let age_counter = r.u64()?;
-    let stats = SimStats::load_snap(&mut r)?;
-    let idle_since = r.u64()?;
-    let remaining = r.usize()?;
-    let livelock_since = if r.bool()? { Some(r.u64()?) } else { None };
-    let locks_at_scan = r.u64()?;
-    let mem_before = MemStats::load_snap(&mut r)?;
+    let rs = RunState {
+        now,
+        pending,
+        age_counter: r.u64()?,
+        stats: SimStats::load_snap(&mut r)?,
+        idle_since: r.u64()?,
+        remaining: r.usize()?,
+        livelock_since: if r.bool()? { Some(r.u64()?) } else { None },
+        locks_at_scan: r.u64()?,
+        mem_before: MemStats::load_snap(&mut r)?,
+    };
     let nsms = r.len(64)?;
     if nsms != num_sms {
         return Err(SnapshotError::malformed(format!(
@@ -951,17 +905,7 @@ fn restore_snapshot(
     }
     mem.load_snap(&mut r)?;
     r.expect_exhausted()?;
-    Ok(RunState {
-        now,
-        pending,
-        age_counter,
-        stats,
-        idle_since,
-        remaining,
-        livelock_since,
-        locks_at_scan,
-        mem_before,
-    })
+    Ok(rs)
 }
 
 /// Build a classified hang error with a full warp-state snapshot (warps
@@ -1400,6 +1344,82 @@ mod tests {
                 assert!(report.spinning_warps().next().is_some());
             }
             other => panic!("expected a classified deadlock, got {other:?}"),
+        }
+    }
+
+    /// Issues any eligible warp except even slots, which it vetoes
+    /// forever (and, with `backed_off`, reports as backed off).
+    struct VetoEven {
+        backed_off: bool,
+    }
+
+    impl SchedulerPolicy for VetoEven {
+        fn name(&self) -> String {
+            "veto-even".to_string()
+        }
+
+        fn pick(&mut self, _ctx: &crate::SchedCtx<'_>, eligible: &[usize]) -> Option<usize> {
+            eligible.first().copied()
+        }
+
+        fn can_issue(&self, _now: u64, warp: usize) -> bool {
+            !warp.is_multiple_of(2)
+        }
+
+        fn is_backed_off(&self, warp: usize) -> bool {
+            self.backed_off && warp.is_multiple_of(2)
+        }
+    }
+
+    /// Every SM hosts a starving warp while its sibling keeps issuing, so
+    /// the scan's victim is contested: it must be the least `(sm, warp)`,
+    /// with a bit-equal report under both engines.
+    #[test]
+    fn contested_starvation_names_the_least_warp() {
+        let kernel = assemble(
+            r#"
+            .kernel busy
+            .regs 8
+                mov r1, 0
+            top:
+                add r1, r1, 1
+                setp.lt.s32 p1, r1, 100000
+            @p1 bra top
+                exit
+            "#,
+        )
+        .unwrap();
+        let launch = LaunchSpec {
+            grid_ctas: 4,
+            threads_per_cta: 64,
+            params: vec![],
+        };
+        for backed_off in [false, true] {
+            let mut reports = Vec::new();
+            for engine in [Engine::Cycle, Engine::Skip] {
+                let mut cfg = GpuConfig::test_tiny();
+                cfg.num_sms = 4;
+                cfg.engine = engine;
+                cfg.watchdog_cycles = 4_000;
+                cfg.backoff_starvation_cycles = if backed_off { 2_000 } else { 0 };
+                cfg.max_cycles = 100_000;
+                let err = Gpu::new(cfg)
+                    .run(
+                        &kernel,
+                        &launch,
+                        &move || Box::new(VetoEven { backed_off }),
+                        &|_: &Kernel| Box::new(NullDetector),
+                    )
+                    .unwrap_err();
+                reports.push(err.hang_report().expect("a classified hang").clone());
+            }
+            let want = if backed_off {
+                HangClass::BackoffStarvation { sm: 0, warp: 0 }
+            } else {
+                HangClass::Starvation { sm: 0, warp: 0 }
+            };
+            assert_eq!(reports[0].class, want);
+            assert_eq!(reports[0], reports[1], "engines disagree");
         }
     }
 

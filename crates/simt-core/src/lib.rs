@@ -65,8 +65,7 @@ pub use gpu::{
 };
 pub use sched::{BasePolicy, IssueInfo, SchedCtx, SchedulerPolicy, WarpMeta};
 pub use scoreboard::Scoreboard;
-pub use sm::{LaunchCtx, Sm, SmCycle, SmProf};
 pub use stack::{SimtStack, StackEntry};
 pub use stats::SimStats;
 pub use warp::{Cta, CtaState, Warp};
-pub use watchdog::{HangClass, HangReport, ProgressScan, WarpProgress, WarpSnapshot};
+pub use watchdog::{HangClass, HangReport, WarpSnapshot};

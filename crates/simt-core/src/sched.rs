@@ -294,9 +294,10 @@ impl SchedulerPolicy for Gto {
         Some(w)
     }
 
-    // Idle cycles touch no GTO state (the rank cache refreshes lazily in
-    // `pick`, and the fast-forward engine never skips past a rotation
-    // boundary).
+    // Idle cycles touch no GTO state: the rank cache is a pure function of
+    // `(resident_version, now / rotate_period)` and refreshes lazily in
+    // `pick`, which no dead cycle reaches, so a skipped span may cross any
+    // number of rotation edges.
     fn on_idle_span(&mut self, _ctx: &SchedCtx<'_>, _unit_warps: &[usize], _span: u64) {}
 
     fn save_state(&self, w: &mut simt_snap::SnapWriter) {

@@ -24,7 +24,7 @@ fn device_fault(sm: usize, pc: usize, fault: simt_mem::MemFault) -> SimError {
 
 /// Immutable launch context shared by all SMs during a kernel run.
 #[derive(Debug)]
-pub struct LaunchCtx<'a> {
+pub(crate) struct LaunchCtx<'a> {
     /// The kernel being executed.
     pub kernel: &'a Kernel,
     /// The kernel's pre-decoded micro-op stream (same indices as
@@ -43,8 +43,6 @@ struct WbEntry {
     warp: usize,
     reg: Option<Reg>,
     pred: Option<simt_isa::Pred>,
-    /// Clear the warp's fence wait if memory drained (unused for ALU).
-    _pad: (),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +77,7 @@ struct ExecOutcome {
 
 /// Kernel/launch-derived bounds that every restored snapshot index is
 /// validated against in [`Sm::load_snap`] before a single cycle runs.
-pub struct SnapLimits {
+pub(crate) struct SnapLimits {
     /// Instructions in the kernel (bounds every pc/rpc).
     pub insts: usize,
     /// Registers per thread (bounds every restored register index).
@@ -97,7 +95,7 @@ pub struct SnapLimits {
 /// loop *including* nested execute time; the GPU-level aggregation carves
 /// execute back out (see [`crate::ProfileReport`]).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SmProf {
+pub(crate) struct SmProf {
     /// Writeback drain + CTA retirement + fence/eligibility scan.
     pub fetch_ns: u64,
     /// Scheduler-unit issue loop + end-of-cycle bookkeeping (incl. execute).
@@ -108,7 +106,7 @@ pub struct SmProf {
 
 /// Result of one SM cycle.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SmCycle {
+pub(crate) struct SmCycle {
     /// Warp instructions issued this cycle.
     pub issued: u32,
     /// CTAs that completed this cycle.
@@ -116,7 +114,7 @@ pub struct SmCycle {
 }
 
 /// One streaming multiprocessor.
-pub struct Sm {
+pub(crate) struct Sm {
     /// SM index.
     pub id: usize,
     num_units: usize,
@@ -245,11 +243,6 @@ impl Sm {
             profile: cfg.profile,
             prof: SmProf::default(),
         }
-    }
-
-    /// Number of resident, unfinished warps.
-    pub fn resident_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.resident && !w.done).count()
     }
 
     /// Per-unit scheduler policies (instrumentation access).
@@ -873,7 +866,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -893,7 +885,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -916,7 +907,6 @@ impl Sm {
                     warp: w_idx,
                     reg: None,
                     pred: Some(pdst),
-                    _pad: (),
                 });
                 if let Some(srcs) = profiled {
                     self.detector.on_setp(now, w_idx, pc, srcs);
@@ -941,7 +931,6 @@ impl Sm {
                     warp: w_idx,
                     reg: None,
                     pred: Some(pdst),
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -994,7 +983,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1034,7 +1022,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1058,7 +1045,6 @@ impl Sm {
                     warp: w_idx,
                     reg: Some(dst),
                     pred: None,
-                    _pad: (),
                 });
                 warp.stack.advance(pc + 1);
             }
@@ -1221,23 +1207,14 @@ impl Sm {
         Ok(outcome)
     }
 
-    /// True once every pending memory op and writeback has drained
-    /// (watchdog support).
-    pub fn quiescent(&self) -> bool {
-        self.pending.is_empty() && self.wheel.iter().all(Vec::is_empty)
-    }
-
-    /// Aggregate forward-progress view for the periodic hang scan.
-    /// `starvation_bound` is the no-issue age at which an unblocked warp
-    /// counts as starved; `backoff_bound` (0 = disabled) is the same for
-    /// warps in the scheduler's backed-off state.
-    pub fn scan_progress(
-        &self,
-        now: u64,
-        starvation_bound: u64,
-        backoff_bound: u64,
-    ) -> ProgressScan {
-        let mut scan = ProgressScan::default();
+    /// Fold this SM's warps into the periodic hang scan. An unblocked warp
+    /// that has not issued for `cfg.watchdog_cycles` counts as starved; a
+    /// backed-off one, for `cfg.backoff_starvation_cycles` (0 = disabled).
+    /// A victim is recorded only if none is yet: the GPU visits SMs in id
+    /// order and this visits warps in slot order, so the recorded
+    /// `(sm, warp)` is the least one.
+    pub fn scan_progress(&self, now: u64, cfg: &GpuConfig, scan: &mut ProgressScan) {
+        let backoff_bound = cfg.backoff_starvation_cycles;
         for (i, w) in self.warps.iter().enumerate() {
             if !w.resident || w.done {
                 continue;
@@ -1253,22 +1230,16 @@ impl Sm {
                 scan.spinning_or_blocked += 1;
             }
             let idle = p.idle_for(now);
-            // The reported victim is the explicit minimum warp index (the
-            // GPU-level scan then takes the lexicographic minimum over
-            // `(sm, warp)`), so attribution is a property of the machine
-            // state, not of traversal order.
             if backoff_bound > 0
                 && idle >= backoff_bound
                 && self.units[i % self.num_units].is_backed_off(i)
-                && scan.backoff_starved.is_none_or(|b| i < b)
             {
-                scan.backoff_starved = Some(i);
+                scan.backoff_starved.get_or_insert((self.id, i));
             }
-            if !blocked && idle >= starvation_bound && scan.starved.is_none_or(|b| i < b) {
-                scan.starved = Some(i);
+            if !blocked && idle >= cfg.watchdog_cycles {
+                scan.starved.get_or_insert((self.id, i));
             }
         }
-        scan
     }
 
     /// Snapshot every live warp for a [`crate::HangReport`].
@@ -1303,11 +1274,6 @@ impl Sm {
             });
         }
         out
-    }
-
-    /// Resident-version counter (bumped on CTA launch/retire).
-    pub fn resident_version(&self) -> u64 {
-        self.resident_version
     }
 
     /// Any CTA slots occupied?
@@ -1555,7 +1521,6 @@ impl Sm {
                     warp,
                     reg,
                     pred,
-                    _pad: (),
                 });
             }
             wheel.push(slot);

@@ -32,7 +32,7 @@ pub const SPIN_MAX_LOOP_LEN: usize = 32;
 
 /// Forward-progress state of one warp slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarpProgress {
+pub(crate) struct WarpProgress {
     /// Last cycle the warp issued (NEVER until first observed alive).
     pub last_issue: u64,
     /// Last cycle the warp's PC differed from the previous issue's PC.
@@ -313,10 +313,10 @@ impl fmt::Display for HangReport {
     }
 }
 
-/// Aggregate view of one SM's warps for the periodic hang scan
-/// (built by `Sm::scan_progress`).
+/// Aggregate view of the machine's warps for the periodic hang scan
+/// (folded SM by SM by `Sm::scan_progress`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgressScan {
+pub(crate) struct ProgressScan {
     /// Resident, unfinished warps.
     pub live: u32,
     /// Of those, warps spinning past the bound.
@@ -324,10 +324,12 @@ pub struct ProgressScan {
     /// Warps spinning **or** blocked (barrier / fence / outstanding
     /// memory). Livelock requires this to cover every live warp.
     pub spinning_or_blocked: u32,
-    /// An unblocked warp that has not issued for the starvation bound.
-    pub starved: Option<usize>,
-    /// A backed-off warp idle past the back-off starvation bound.
-    pub backoff_starved: Option<usize>,
+    /// The least `(sm, warp)` unblocked warp that has not issued for the
+    /// starvation bound.
+    pub starved: Option<(usize, usize)>,
+    /// The least `(sm, warp)` backed-off warp idle past the back-off
+    /// starvation bound.
+    pub backoff_starved: Option<(usize, usize)>,
 }
 
 #[cfg(test)]
